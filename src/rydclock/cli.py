@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .ellipse import EllipseModel, calibrated_pipeline, fisher_information_css
-from .exact_diag import (AtomNumberError, N_CAP, PulseSequence, run_sequence)
+from .exact_diag import N_CAP, PulseSequence, run_sequence
 from .geometry import build_subarrays
 from .potentials import (DressingParams, FitError, PairOscillationData,
                          SoftCorePotential, fit_soft_core, fit_report_json)
@@ -226,11 +226,11 @@ def cmd_simulate_clock(params, out_dir):
         zeta=params.get("zeta"),
         cycle_time=float(params.get("cycle_time_s", 1.4)),
     )
-    rec_path = os.path.join(out_dir, "record.csv")
-    record.to_csv(rec_path)
     series = freq_series(dz_from_record(record), noise.contrast,
                          record.t_dark, record.cycle_time)
     curve = overlapping_adev(series, axis="time")
+    rec_path = os.path.join(out_dir, "record.csv")
+    record.to_csv(rec_path)
     adev_path = os.path.join(out_dir, "adev.csv")
     curve.to_csv(adev_path)
     return [rec_path, adev_path]
@@ -356,9 +356,6 @@ def build_parser():
         p.add_argument("--axis", default=None, choices=["time", "count"])
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--engine", default=None, choices=["weak", "ed"])
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallelism cap (scans are small; accepted for "
-                            "interface compatibility)")
     return parser
 
 
@@ -370,7 +367,11 @@ def main(argv=None):
         if args.from_manifest:
             with open(args.from_manifest) as fh:
                 manifest = json.load(fh)
-            command, params = manifest["command"], manifest["params"]
+            command, params = manifest.get("command"), manifest.get("params")
+            if command not in _COMMANDS:
+                raise UsageError(f"manifest: unknown command {command!r}")
+            if not isinstance(params, dict):
+                raise UsageError("manifest: params must be an object")
             out_dir = params.get("out_dir") or "."
         else:
             if not args.command:
@@ -391,15 +392,13 @@ def main(argv=None):
         _write_manifest(out_dir, command, params,
                         [os.path.basename(p) for p in outputs])
         return 0
-    except (UsageError, AtomNumberError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    # LinAlgError subclasses ValueError, so it must be caught first.
     except (FitError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
+    except (ValueError, OSError) as exc:  # UsageError, AtomNumberError, I/O
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -9,20 +9,17 @@ with linear ramps of Omega_r and Delta, discretized in fixed time steps.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from .geometry import ArrayGeometry, distance_matrix
 from .potentials import DressingParams
-from .weak_dressing import SqueezingObservables, _golden_min
+from .weak_dressing import quadratic_form, quadrature_minimum
 
 N_CAP = 9
-_DENSE_DIM = 256  # below this, dense matrix exponentials are faster
 
 
 class AtomNumberError(ValueError):
@@ -92,11 +89,6 @@ class ClockPulse:
 @dataclass(frozen=True)
 class DressingPulse:
     duration: float  # plateau time; ramps are added around it
-
-
-@dataclass(frozen=True)
-class QuadratureRotation:
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -186,6 +178,7 @@ class HamiltonianTerms:
         return (m + m.T).tocsr()
 
     def assemble(self, omega_r, delta, omega_c, c6):
+        """Full sparse 3^N Hamiltonian; the reference for the block path."""
         return (omega_r * self.t_er + delta * self.t_rr
                 + c6 * self.t_int + omega_c * self.t_ge).tocsr()
 
@@ -270,52 +263,6 @@ class HamiltonianTerms:
         return out
 
 
-def build_h3(g: ArrayGeometry, p: DressingParams, t=0.0, schedule=None,
-             direction="up", terms=None):
-    """Instantaneous H3 / hbar (rad/s) as a sparse Hermitian matrix.
-
-    Without a schedule the plateau values of ``p`` are used; with one, the
-    drive values are evaluated at local ramp time ``t``.
-    """
-    if terms is None:
-        terms = HamiltonianTerms(g)
-    if schedule is None:
-        omega_r, delta = p.omega_r, p.delta
-    else:
-        omega_r, delta = schedule.values(p, t, direction)
-    return terms.assemble(omega_r, delta, p.omega_c, p.c6)
-
-
-def _step_propagate(h, psi, dt):
-    if h.shape[0] <= _DENSE_DIM:
-        return expm(-1j * dt * h.toarray()) @ psi
-    return expm_multiply(-1j * dt * h.tocsc(), psi)
-
-
-def propagate(state: QuantumState, h_of_t, duration, step=6.5e-9) -> QuantumState:
-    """Propagate under exp(-i H t / hbar) with a step-frozen Hamiltonian.
-
-    ``h_of_t`` is either a (sparse) matrix for a constant Hamiltonian -- in
-    which case a single exact exponential is applied -- or a callable t -> H
-    evaluated at step midpoints.
-    """
-    if duration == 0:
-        return state
-    psi = state.amplitudes
-    if not callable(h_of_t):
-        psi = _step_propagate(sp.csr_matrix(h_of_t), psi, duration)
-    else:
-        if step <= 0:
-            raise ValueError("step must be positive")
-        n_steps = max(1, int(round(duration / step)))
-        dt = duration / n_steps
-        for k in range(n_steps):
-            h = sp.csr_matrix(h_of_t((k + 0.5) * dt))
-            psi = _step_propagate(h, psi, dt)
-    psi = psi / np.linalg.norm(psi)
-    return QuantumState(psi)
-
-
 def clock_rotation(state: QuantumState, angle, phase=0.0) -> QuantumState:
     """Ideal instantaneous global rotation in the {g, e} subspace."""
     c = np.cos(angle / 2.0)
@@ -359,15 +306,33 @@ def _apply_pauli(psi_q, n, site, axis):
     return out.reshape(-1)
 
 
+def _collective_paulis(psi_q, n):
+    """Rows M_x psi, M_y psi, M_z psi with M_a the sum of sigma_a over sites."""
+    m_psi = np.zeros((3, psi_q.size), dtype=complex)
+    for k, axis in enumerate(("x", "y", "z")):
+        for i in range(n):
+            m_psi[k] += _apply_pauli(psi_q, n, i, axis)
+    return m_psi
+
+
 def qubit_bloch_vector(psi_q, n):
     """Collective spin expectation (Sx, Sy, Sz) of a 2^N qubit state."""
-    s = np.zeros(3)
-    for k, axis in enumerate(("x", "y", "z")):
-        acc = np.zeros_like(psi_q)
-        for i in range(n):
-            acc += _apply_pauli(psi_q, n, i, axis)
-        s[k] = 0.5 * np.real(np.vdot(psi_q, acc))
-    return s
+    return 0.5 * np.real(_collective_paulis(psi_q, n) @ psi_q.conj())
+
+
+def _quadrature_covariance(psi_q, n):
+    """Covariance of (M_z, M_perp), M_perp the in-plane part normal to the mean spin.
+
+    The quadrature at angle alpha is M(alpha) = cos(alpha) M_z + sin(alpha)
+    M_perp, so its variance is the quadratic form of this 2x2 matrix.
+    """
+    m_psi = _collective_paulis(psi_q, n)
+    sx, sy, _ = np.real(m_psi @ psi_q.conj())
+    gamma = np.arctan2(sy, sx)
+    mx, my, mz = m_psi
+    m = np.stack([mz, np.sin(gamma) * mx - np.cos(gamma) * my])
+    mean = np.real(m @ psi_q.conj())
+    return np.real(m.conj() @ m.T) - np.outer(mean, mean)
 
 
 def quadrature_variance_ratio(psi_q, n, alpha):
@@ -376,20 +341,7 @@ def quadrature_variance_ratio(psi_q, n, alpha):
     alpha = 0 measures along the mean-spin axis' z-quadrature; the in-plane
     component perpendicular to the mean spin completes the quadrature plane.
     """
-    s = qubit_bloch_vector(psi_q, n)
-    gamma = np.arctan2(s[1], s[0])
-    cz = np.cos(alpha)
-    cx = -np.sin(alpha) * (-np.sin(gamma))
-    cy = -np.sin(alpha) * np.cos(gamma)
-    m_psi = np.zeros_like(psi_q)
-    for i in range(n):
-        m_psi += (cz * _apply_pauli(psi_q, n, i, "z")
-                  + cx * _apply_pauli(psi_q, n, i, "x")
-                  + cy * _apply_pauli(psi_q, n, i, "y"))
-    mean_m = np.real(np.vdot(psi_q, m_psi))
-    mean_m2 = np.real(np.vdot(m_psi, m_psi))
-    var_s = 0.25 * (mean_m2 - mean_m ** 2)
-    return 4.0 * var_s / n
+    return quadratic_form(_quadrature_covariance(psi_q, n) / n, alpha)
 
 
 @dataclass
@@ -427,38 +379,24 @@ def _cf4_values(p, schedule, direction, step_index, dt):
     )
 
 
-def _ramp(state, terms, p, schedule, direction):
-    if 3 ** terms.n_atoms > _DENSE_DIM:
-        psi = terms.propagate_clock_off_ramp(state.amplitudes, p, schedule,
-                                             direction)
-        return QuantumState(psi / np.linalg.norm(psi))
-
-    n_steps = schedule.n_ramp_steps()
-    dt = schedule.ramp_duration / n_steps
-    psi = state.amplitudes
-    for s in range(n_steps):
-        for omega_r, delta in _cf4_values(p, schedule, direction, s, dt):
-            h = terms.assemble(omega_r, delta, 0.0, p.c6)
-            psi = _step_propagate(h, psi, 0.5 * dt)
-    return QuantumState(psi / np.linalg.norm(psi))
-
-
 def _dressing_pulse(state, terms, p, schedule, plateau):
+    """Up-ramp, plateau and down-ramp, each propagated on the clock-off blocks.
+
+    Returns the final state and the largest Rydberg population after any leg.
+    """
+    legs = ["plateau"] if plateau > 0 else []
+    if schedule.ramp_duration > 0:
+        legs = ["up", *legs, "down"]
     max_ryd = 0.0
-    if schedule.ramp_duration > 0:
-        state = _ramp(state, terms, p, schedule, "up")
-        _, ryd = project_qubit(state)
-        max_ryd = max(max_ryd, ryd)
-    if plateau > 0:
-        psi = terms.propagate_clock_off(state.amplitudes, p.omega_r, p.delta,
-                                        p.c6, plateau)
+    for leg in legs:
+        if leg == "plateau":
+            psi = terms.propagate_clock_off(state.amplitudes, p.omega_r,
+                                            p.delta, p.c6, plateau)
+        else:
+            psi = terms.propagate_clock_off_ramp(state.amplitudes, p, schedule,
+                                                 leg)
         state = QuantumState(psi / np.linalg.norm(psi))
-        _, ryd = project_qubit(state)
-        max_ryd = max(max_ryd, ryd)
-    if schedule.ramp_duration > 0:
-        state = _ramp(state, terms, p, schedule, "down")
-        _, ryd = project_qubit(state)
-        max_ryd = max(max_ryd, ryd)
+        max_ryd = max(max_ryd, project_qubit(state)[1])
     return state, max_ryd
 
 
@@ -467,10 +405,15 @@ def run_sequence(g: ArrayGeometry, p: DressingParams, seq: PulseSequence,
     """Execute the pulse sequence and extract squeezing observables.
 
     Clock pulses are ideal rotations; a zero-duration dressing segment is a
-    no-op (the experiment simply would not pulse the Rydberg laser).  The
-    final quadrature rotation and pi/2 pulse are folded into the quadrature
-    analysis of the post-interaction state; the Rydberg level is projected
-    out (and its maximum population reported) before observables.
+    no-op (the experiment simply would not pulse the Rydberg laser).  Every
+    dressing ramp and plateau is propagated on the blocks of the clock-off
+    Hamiltonian, at every N.  The final quadrature rotation and pi/2 pulse
+    are folded into the quadrature analysis of the post-interaction state;
+    the Rydberg level is projected out (and its maximum population reported)
+    before observables.  The optimal quadrature is closed form: the variance
+    ratio is a quadratic form in (cos alpha, sin alpha), so its minimum
+    ``var_ratio_min`` is the smaller eigenvalue of the (M_z, M_perp)
+    covariance over N, and ``alpha_opt`` is the angle of that eigenvector.
     """
     schedule = schedule or RampSchedule()
     terms = HamiltonianTerms(g)
@@ -484,8 +427,6 @@ def run_sequence(g: ArrayGeometry, p: DressingParams, seq: PulseSequence,
             if seg.duration > 0:
                 state, ryd = _dressing_pulse(state, terms, p, schedule, seg.duration)
                 max_ryd = max(max_ryd, ryd)
-        elif isinstance(seg, QuadratureRotation):
-            pass  # folded into the quadrature analysis below
         else:
             raise TypeError(f"unknown sequence segment: {seg!r}")
 
@@ -496,18 +437,15 @@ def run_sequence(g: ArrayGeometry, p: DressingParams, seq: PulseSequence,
     s = qubit_bloch_vector(psi_q, n)
     c = 2.0 * np.linalg.norm(s) / n
 
+    alpha_opt, var_min = quadrature_minimum(_quadrature_covariance(psi_q, n) / n)
+
     def ratio(alpha):
         return quadrature_variance_ratio(psi_q, n, alpha)
 
-    grid = np.linspace(0.0, np.pi, 181, endpoint=False)
-    vals = [ratio(al) for al in grid]
-    k = int(np.argmin(vals))
-    step = grid[1] - grid[0]
-    alpha_opt, var_min = _golden_min(ratio, grid[k] - step, grid[k] + step, tol=1e-8)
     return EDResult(
         contrast=float(c),
         xi_w_sq=float(var_min / c ** 2),
-        alpha_opt=float(alpha_opt % np.pi),
+        alpha_opt=float(alpha_opt),
         var_ratio_min=float(var_min),
         max_rydberg_population=float(max_ryd),
         variance_ratio=ratio,

@@ -17,8 +17,6 @@ import numpy as np
 from .geometry import ArrayGeometry, distance_matrix
 from .potentials import SoftCorePotential, soft_core
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class CouplingMatrix:
@@ -148,50 +146,48 @@ def variance_ratio(ph: InteractionPhases, alpha, n_per_ensemble=None):
     n = ph.n_atoms
     if n_per_ensemble is not None and n_per_ensemble != n:
         raise ValueError("n_per_ensemble must match the phase matrix size")
-    a, b = _pair_coefficients(ph.phi)
-    return _ratio_from_coefficients(a, b, n, alpha)
+    return quadratic_form(_ratio_matrix(ph.phi), alpha)
 
 
-def _ratio_from_coefficients(a, b, n, alpha):
-    mz = np.zeros(n)
-    sin_a, cos_a = np.sin(alpha), np.cos(alpha)
-    g2_sum = np.sum(a) * sin_a ** 2 + np.sum(b) * sin_a * cos_a  # over i != j
-    var_sz = np.sum(1.0 - mz ** 2) / 4.0 + g2_sum
-    return float(4.0 * var_sz / n)
+def _ratio_matrix(phi):
+    """2x2 matrix R with variance ratio [cos a, sin a] R [cos a, sin a]^T.
+
+    Summing g2 = a sin^2 + b sin cos over the pairs i != j gives
+    A sin^2 + B sin cos, so the ratio is 1 + (4/n)(A sin^2 + B sin cos).
+    """
+    n = phi.shape[0]
+    a, b = _pair_coefficients(phi)
+    off = 2.0 * np.sum(b) / n
+    return np.array([[1.0, off], [off, 1.0 + 4.0 * np.sum(a) / n]])
 
 
-def _golden_min(f, lo, hi, tol=1e-10):
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def quadratic_form(m, alpha):
+    """[cos alpha, sin alpha] m [cos alpha, sin alpha]^T for a symmetric 2x2 m."""
+    u = np.array([np.cos(alpha), np.sin(alpha)])
+    return float(u @ m @ u)
+
+
+def quadrature_minimum(m):
+    """(alpha in [0, pi), value) at the minimum of ``quadratic_form(m, alpha)``.
+
+    With m = [[p, q], [q, r]] the form is (p + r)/2 + (p - r)/2 cos 2alpha
+    + q sin 2alpha, so the minimum is the smaller eigenvalue of m and alpha
+    the angle of its eigenvector.
+    """
+    (p, q), (_, r) = m
+    alpha = 0.5 * np.arctan2(-2.0 * q, r - p) % np.pi
+    return float(alpha), float(0.5 * (p + r) - np.hypot(0.5 * (p - r), q))
 
 
 def minimize_variance(ph: InteractionPhases):
-    """Optimal quadrature: 181-point coarse grid on [0, pi) then golden section."""
-    n = ph.n_atoms
-    a, b = _pair_coefficients(ph.phi)
+    """Optimal quadrature in closed form: (alpha_opt, var_min, ratio callable).
 
-    def ratio(alpha):
-        return _ratio_from_coefficients(a, b, n, alpha)
-
-    grid = np.linspace(0.0, np.pi, 181, endpoint=False)
-    vals = [ratio(al) for al in grid]
-    k = int(np.argmin(vals))
-    step = grid[1] - grid[0]
-    alpha_opt, var_min = _golden_min(ratio, grid[k] - step, grid[k] + step)
-    return alpha_opt % np.pi, var_min, ratio
+    With A = sum a_ij and B = sum b_ij, var_min = 1 + (2/n)(A - sqrt(A^2 +
+    B^2)) at alpha_opt = atan2(-B, A) / 2 mod pi.
+    """
+    r = _ratio_matrix(ph.phi)
+    alpha_opt, var_min = quadrature_minimum(r)
+    return alpha_opt, var_min, lambda alpha: quadratic_form(r, alpha)
 
 
 def wineland(ph: InteractionPhases, n=None) -> SqueezingObservables:

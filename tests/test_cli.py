@@ -229,3 +229,30 @@ def test_numerical_failures_map_to_exit_3(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._COMMANDS, "fit-potential", boom)
     assert run("fit-potential", "--out-dir", str(tmp_path)) == 3
+
+
+def test_linalg_error_maps_to_exit_3(tmp_path, monkeypatch):
+    def boom(params, out_dir):
+        raise np.linalg.LinAlgError("synthetic singular matrix")
+
+    monkeypatch.setitem(cli._COMMANDS, "fit-potential", boom)
+    assert run("fit-potential", "--out-dir", str(tmp_path)) == 3
+
+
+def test_missing_input_file_is_usage_error(tmp_path):
+    assert run("allan", "--in", str(tmp_path / "missing.csv"),
+               "--out-dir", str(tmp_path / "out")) == 2
+    assert run("--from-manifest", str(tmp_path / "missing.json")) == 2
+
+
+def test_unknown_manifest_command_is_usage_error(tmp_path):
+    manifest = _write_config(tmp_path, "m.json", {
+        "command": "nope", "params": {"out_dir": str(tmp_path / "out")}})
+    assert run("--from-manifest", manifest) == 2
+
+
+def test_empty_clock_run_writes_no_record(tmp_path):
+    out = tmp_path / "out"
+    cfg = _clock_config(tmp_path, n_shots=0)
+    assert run("simulate-clock", "--config", cfg, "--out-dir", str(out)) == 2
+    assert not (out / "record.csv").exists()

@@ -4,8 +4,8 @@ from scipy.linalg import expm
 
 from rydclock.exact_diag import (AtomNumberError, ClockPulse, DressingPulse,
                                  HamiltonianTerms, PulseSequence, QuantumState,
-                                 RampSchedule, build_h3, clock_rotation,
-                                 dressed_pair_shift, project_qubit, propagate,
+                                 RampSchedule, _cf4_values, clock_rotation,
+                                 dressed_pair_shift, project_qubit,
                                  qubit_bloch_vector, quadrature_variance_ratio,
                                  run_sequence)
 from rydclock.geometry import (ArrayGeometry, build_subarrays,
@@ -70,28 +70,6 @@ def _random_state(n, seed):
     return QuantumState(amp / np.linalg.norm(amp))
 
 
-def test_energy_and_norm_conserved_under_constant_h():
-    terms = HamiltonianTerms(TRIO)
-    h = terms.assemble(PAPER.omega_r, PAPER.delta, 0.3 * PAPER.omega_r,
-                       PAPER.c6)
-    psi0 = _random_state(3, 5)
-    psi1 = propagate(psi0, h, 2e-6)
-    e0 = np.real(np.vdot(psi0.amplitudes, h @ psi0.amplitudes))
-    e1 = np.real(np.vdot(psi1.amplitudes, h @ psi1.amplitudes))
-    scale = np.abs(h.toarray()).max()
-    assert abs(e1 - e0) < 1e-8 * scale
-    assert np.linalg.norm(psi1.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_constant_callable_matches_matrix_path():
-    terms = HamiltonianTerms(PAIR)
-    h = terms.assemble(PAPER.omega_r, PAPER.delta, 0.0, PAPER.c6)
-    psi0 = _random_state(2, 1)
-    a = propagate(psi0, h, 0.5e-6)
-    b = propagate(psi0, lambda t: h, 0.5e-6, step=6.5e-9)
-    assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-9)
-
-
 def test_block_propagation_matches_dense_exponential():
     terms = HamiltonianTerms(TRIO)
     psi0 = _random_state(3, 2)
@@ -103,20 +81,20 @@ def test_block_propagation_matches_dense_exponential():
 
 
 def test_block_ramp_matches_dense_ramp():
-    terms = HamiltonianTerms(PAIR)
     sched = RampSchedule()
-    psi0 = clock_rotation(QuantumState.ground(2), np.pi / 2).amplitudes
-    blocked = terms.propagate_clock_off_ramp(psi0, PAPER, sched, "up")
-    # dense reference: same commutator-free stepping on the full matrix
-    from rydclock.exact_diag import _cf4_values, _step_propagate
     n_steps = sched.n_ramp_steps()
     dt = sched.ramp_duration / n_steps
-    ref = psi0.copy()
-    for s in range(n_steps):
-        for omega_r, delta in _cf4_values(PAPER, sched, "up", s, dt):
-            ref = _step_propagate(terms.assemble(omega_r, delta, 0.0, PAPER.c6),
-                                  ref, 0.5 * dt)
-    assert np.allclose(blocked, ref, atol=1e-9)
+    for g in (PAIR, build_subarrays(2, 2, 2, 2, 1)):
+        terms = HamiltonianTerms(g)
+        psi0 = clock_rotation(QuantumState.ground(g.n_atoms), np.pi / 2).amplitudes
+        blocked = terms.propagate_clock_off_ramp(psi0, PAPER, sched, "up")
+        # dense reference: the same commutator-free steps on the full 3^N matrix
+        ref = psi0.copy()
+        for s in range(n_steps):
+            for omega_r, delta in _cf4_values(PAPER, sched, "up", s, dt):
+                h = terms.assemble(omega_r, delta, 0.0, PAPER.c6).toarray()
+                ref = expm(-0.5j * dt * h) @ ref
+        assert np.allclose(blocked, ref, atol=1e-9)
 
 
 def test_exchange_symmetry_preserved():
@@ -128,8 +106,9 @@ def test_exchange_symmetry_preserved():
     assert np.allclose(out, swapped, atol=1e-9)
 
 
-def test_build_h3_hermitian_and_schedule_endpoints():
-    h = build_h3(PAIR, PAPER)
+def test_assemble_hermitian_and_schedule_endpoints():
+    h = HamiltonianTerms(PAIR).assemble(PAPER.omega_r, PAPER.delta,
+                                        0.3 * PAPER.omega_r, PAPER.c6)
     d = h.toarray()
     assert np.allclose(d, d.conj().T)
     sched = RampSchedule()
@@ -150,6 +129,15 @@ def test_clock_rotation_inverse_and_projection():
     s = qubit_bloch_vector(q, 2)
     assert np.linalg.norm(s) == pytest.approx(1.0)  # N/2 for N = 2
     assert quadrature_variance_ratio(q, 2, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_closed_form_quadrature_optimum_is_the_minimum():
+    res = run_sequence(build_subarrays(2, 2, 2, 2, 1), PAPER,
+                       PulseSequence.spin_echo(2e-6))
+    assert res.var_ratio_min == pytest.approx(res.variance_ratio(res.alpha_opt),
+                                              abs=1e-12)
+    grid = np.linspace(0.0, np.pi, 2001)
+    assert res.var_ratio_min <= min(res.variance_ratio(a) for a in grid) + 1e-12
 
 
 def test_sudden_dressing_warns_about_rydberg_population():
