@@ -141,6 +141,11 @@ def cmd_scan_squeezing(params, out_dir):
     import csv as _csv
 
     dp = _dressing_from(params)
+    for rows_, cols_ in sizes:
+        if rows_ * cols_ > N_CAP:
+            raise UsageError(
+                f"exact diagonalization supports at most {N_CAP} atoms; "
+                f"requested N={rows_ * cols_}")
     out = os.path.join(out_dir, "scan_squeezing_ed.csv")
     with open(out, "w", newline="") as fh:
         w = _csv.writer(fh)
@@ -148,10 +153,6 @@ def cmd_scan_squeezing(params, out_dir):
                     "var_ratio_min", "xi_db", "max_rydberg_pop"])
         for rows_, cols_ in sizes:
             n = rows_ * cols_
-            if n > N_CAP:
-                raise UsageError(
-                    f"exact diagonalization supports at most {N_CAP} atoms; "
-                    f"requested N={n}")
             g = build_subarrays(rows_, cols_, spacing[0], spacing[1], 1,
                                 lattice_constant=a_lat)
             best = None
@@ -367,6 +368,8 @@ def main(argv=None):
         if args.from_manifest:
             with open(args.from_manifest) as fh:
                 manifest = json.load(fh)
+            if not isinstance(manifest, dict):
+                raise UsageError("manifest: top level must be an object")
             command, params = manifest.get("command"), manifest.get("params")
             if command not in _COMMANDS:
                 raise UsageError(f"manifest: unknown command {command!r}")

@@ -87,47 +87,43 @@ def _log_binom_coeff(n):
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
-def tempered_log_pmf(n, p, inv_zeta_sq):
-    """Normalized log mass function of a binomial tempered by ``inv_zeta_sq``.
+def _tempered_rows(n, p, inv_zeta_sq):
+    """(len(p), n+1) normalized log mass functions of tempered binomials.
 
-    At the boundary (p = 0 or 1) the binomial is a point mass and any power
-    leaves it unchanged.
+    Row i is the binomial(n, p[i]) log pmf raised to the power
+    ``inv_zeta_sq[i]`` and renormalized.  At the boundary (p = 0 or 1) the
+    binomial is a point mass and any power leaves it unchanged.
     """
+    p = np.asarray(p, dtype=float)
+    inv_zeta_sq = np.asarray(inv_zeta_sq, dtype=float)
+    edge = (p <= 0.0) | (p >= 1.0)
+    pc = np.where(edge, 0.5, p)  # edge rows are overwritten below
     k = np.arange(n + 1)
-    if p <= 0.0 or p >= 1.0:
-        out = np.full(n + 1, _LOG_TINY * 2)
-        out[0 if p <= 0.0 else n] = 0.0
-        return out
-    log_binom = _log_binom_coeff(n) + k * np.log(p) + (n - k) * np.log1p(-p)
-    x = inv_zeta_sq * log_binom
-    return x - logsumexp(x)
-
-
-def _log_pmf_vs_theta(n, contrast, y0, zeta0, zeta1, angles):
-    """(T, n+1) array of tempered log pmfs, one row per ensemble angle."""
-    p = contrast / 2.0 * np.cos(angles) + y0
-    zsq = zeta0 ** 2 * np.sin(angles) ** 2 + zeta1 ** 2 * np.cos(angles) ** 2
-    interior = (p > 0.0) & (p < 1.0)
-    pc = np.clip(p, 1e-300, 1.0 - 1e-16)
-    k = np.arange(n + 1)
-    x = (1.0 / zsq)[:, None] * (_log_binom_coeff(n)[None, :]
+    x = inv_zeta_sq[:, None] * (_log_binom_coeff(n)[None, :]
                                 + k[None, :] * np.log(pc)[:, None]
                                 + (n - k)[None, :] * np.log1p(-pc)[:, None])
     out = x - logsumexp(x, axis=1, keepdims=True)
-    if not np.all(interior):
-        for t in np.nonzero(~interior)[0]:
-            out[t] = tempered_log_pmf(n, p[t], 1.0 / zsq[t])
+    if edge.any():
+        out[edge] = 2.0 * _LOG_TINY
+        out[edge, np.where(p[edge] <= 0.0, 0, n)] = 0.0
     return out
+
+
+def tempered_log_pmf(n, p, inv_zeta_sq):
+    """Normalized log mass function of a binomial tempered by ``inv_zeta_sq``."""
+    return _tempered_rows(n, [p], [inv_zeta_sq])[0]
+
+
+def _model_rows(m: EllipseModel, angles):
+    """Tempered log pmfs of one ensemble, one row per ensemble angle."""
+    return _tempered_rows(m.n_atoms, m.contrast / 2.0 * np.cos(angles) + m.y0,
+                          1.0 / m.zeta_sq(angles))
 
 
 def pmf_theta(m: EllipseModel, theta):
     """Joint mass function over (k_A, k_B) at fixed atom-laser phase theta."""
-    n = m.n_atoms
-    lf_a = tempered_log_pmf(n, m.contrast / 2.0 * np.cos(theta) + m.y0,
-                            1.0 / m.zeta_sq(theta))
-    lf_b = tempered_log_pmf(n, m.contrast / 2.0 * np.cos(theta + m.phi) + m.y0,
-                            1.0 / m.zeta_sq(theta + m.phi))
-    return np.exp(lf_a)[:, None] * np.exp(lf_b)[None, :]
+    f_a, f_b = np.exp(_model_rows(m, np.array([theta, theta + m.phi])))
+    return f_a[:, None] * f_b[None, :]
 
 
 def pmf_marginal(m: EllipseModel, n_theta=720, check=False):
@@ -142,34 +138,39 @@ def pmf_marginal(m: EllipseModel, n_theta=720, check=False):
 
 
 def _marginal(m, n_theta):
+    """L[k_A, k_B] = (1/T) sum_theta f_A(theta, k_A) f_B(theta + phi, k_B)."""
     angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    n = m.n_atoms
-    fa = np.exp(_log_pmf_vs_theta(n, m.contrast, m.y0, m.zeta0, m.zeta1, angles))
-    fb = np.exp(_log_pmf_vs_theta(n, m.contrast, m.y0, m.zeta0, m.zeta1,
-                                  angles + m.phi))
+    fa = np.exp(_model_rows(m, angles))
+    fb = np.exp(_model_rows(m, angles + m.phi))
     return np.einsum("ti,tj->ij", fa, fb) / n_theta
 
 
-def _per_shot_loglik(k_a, k_b, model: EllipseModel, n_theta):
-    """Per-shot log of the theta-averaged likelihood, shape (n_shots,)."""
-    angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    n = model.n_atoms
-    lfa = _log_pmf_vs_theta(n, model.contrast, model.y0,
-                            model.zeta0, model.zeta1, angles)
-    lfb = _log_pmf_vs_theta(n, model.contrast, model.y0,
-                            model.zeta0, model.zeta1, angles + model.phi)
-    mat = lfa[:, k_a] + lfb[:, k_b]
-    return logsumexp(mat, axis=0) - np.log(n_theta)
+def _log_marginal(m, n_theta):
+    """log L[k_A, k_B]; -inf where the marginal underflows."""
+    with np.errstate(divide="ignore"):
+        return np.log(_marginal(m, n_theta))
+
+
+def _pair_counts(record: MeasurementRecord, n_atoms):
+    """(N+1) x (N+1) histogram of (k_A, k_B): the likelihoods' sufficient statistic."""
+    if not (np.all(record.n_a == n_atoms) and np.all(record.n_b == n_atoms)):
+        raise ValueError(f"record atom number does not match the model: every "
+                         f"shot must have {n_atoms} atoms in both ensembles")
+    size = n_atoms + 1
+    return np.bincount(record.k_a * size + record.k_b,
+                       minlength=size * size).reshape(size, size)
+
+
+def _cell_sum(counts, table):
+    """sum of counts * table over the occupied cells (0 * -inf would be nan)."""
+    occupied = counts > 0
+    return float(counts[occupied] @ table[occupied])
 
 
 def log_likelihood(record: MeasurementRecord, model: EllipseModel, n_theta=360):
     """Total log likelihood of a record under the tempered-binomial model."""
-    n = int(record.n_a[0])
-    if not (np.all(record.n_a == n) and np.all(record.n_b == n)):
-        raise ValueError("model assumes equal atom number in every shot")
-    if n != model.n_atoms:
-        raise ValueError("record atom number does not match the model")
-    return float(np.sum(_per_shot_loglik(record.k_a, record.k_b, model, n_theta)))
+    return _cell_sum(_pair_counts(record, model.n_atoms),
+                     _log_marginal(model, n_theta))
 
 
 _BOUNDS = {
@@ -191,7 +192,7 @@ def fit_mle(data: MeasurementRecord, init: EllipseModel,
     flags = []
     if data.n_shots < 2:
         flags.append("degenerate: too few shots for a meaningful fit")
-    k_a, k_b = data.k_a, data.k_b
+    counts = _pair_counts(data, init.n_atoms)
 
     def objective(x):
         params = dict(zip(free, x))
@@ -203,7 +204,8 @@ def fit_mle(data: MeasurementRecord, init: EllipseModel,
             model = init.replace(**params)
         except ValueError:
             return 1e12
-        return -float(np.sum(_per_shot_loglik(k_a, k_b, model, n_theta)))
+        total = _cell_sum(counts, _log_marginal(model, n_theta))
+        return -total if np.isfinite(total) else 1e12
 
     x0 = np.array([getattr(init, name) for name in free])
     rng = np.random.default_rng(seed)
@@ -230,81 +232,62 @@ def fit_mle(data: MeasurementRecord, init: EllipseModel,
                             log_likelihood=-float(best.fun), flags=flags)
 
 
-def _phi_profile(k_a, k_b, secondary: EllipseModel, phis, n_theta):
-    """Per-shot log likelihood on a grid of phi values, shape (len(phis), S)."""
-    n = secondary.n_atoms
-    angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    lfa = _log_pmf_vs_theta(n, secondary.contrast, secondary.y0,
-                            secondary.zeta0, secondary.zeta1, angles)
-    a_cols = lfa[:, k_a]
-    out = np.empty((len(phis), k_a.size))
-    for j, phi in enumerate(phis):
-        lfb = _log_pmf_vs_theta(n, secondary.contrast, secondary.y0,
-                                secondary.zeta0, secondary.zeta1, angles + phi)
-        out[j] = logsumexp(a_cols + lfb[:, k_b], axis=0) - np.log(n_theta)
-    return out
-
-
-def _parabolic_argmax(xs, ys):
-    k = int(np.argmax(ys))
-    if k == 0 or k == len(xs) - 1:
-        return xs[k]
-    h = xs[1] - xs[0]
-    denom = ys[k - 1] - 2.0 * ys[k] + ys[k + 1]
-    if denom >= 0:
-        return xs[k]
-    return xs[k] + 0.5 * h * (ys[k - 1] - ys[k + 1]) / denom
-
-
 def estimate_phi(record: MeasurementRecord, secondary: EllipseModel,
                  n_theta=360, coarse=61, return_jackknife=False):
     """argmax over phi in [0, pi] with the secondary parameters held fixed.
 
-    Locates the maximum on a coarse grid, then polishes it with a bounded
-    scalar search.  With ``return_jackknife`` the per-shot leave-one-out
-    estimates are obtained by a one-step Newton update with the pooled
-    curvature; that construction makes the pseudo-value mean coincide with the
-    full-sample estimate up to the optimizer tolerance, and agrees with full
-    refits to O(1/n).
+    Every step works on the record's (k_A, k_B) counts and the log of the
+    theta-marginal table at trial phases.  The maximum is located on a
+    coarse grid, polished with a bounded scalar search, then Newton-polished
+    on the central-difference score.  With ``return_jackknife`` the per-shot
+    score is the score table read at the shot's cell, and the leave-one-out
+    estimates are one-step Newton updates with the pooled curvature; that
+    construction makes the pseudo-value mean coincide with the full-sample
+    estimate up to the optimizer tolerance, and agrees with full refits to
+    O(1/n).
     """
     from scipy.optimize import minimize_scalar
 
-    k_a, k_b = record.k_a, record.k_b
+    counts = _pair_counts(record, secondary.n_atoms)
+
+    def log_table(phi):
+        return _log_marginal(secondary.replace(phi=phi), n_theta)
+
+    def total(phi):
+        return _cell_sum(counts, log_table(phi))
+
     phis_c = np.linspace(0.0, np.pi, coarse)
-    prof_c = _phi_profile(k_a, k_b, secondary, phis_c, n_theta).sum(axis=1)
+    prof_c = np.array([total(phi) for phi in phis_c])
     kc = int(np.argmax(prof_c))
     dphi = phis_c[1] - phis_c[0]
     lo = max(0.0, phis_c[kc] - dphi)
     hi = min(np.pi, phis_c[kc] + dphi)
 
-    def neg_total(phi):
-        return -float(_phi_profile(k_a, k_b, secondary, [phi], n_theta).sum())
-
-    res = minimize_scalar(neg_total, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
+    res = minimize_scalar(lambda phi: -total(phi), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-10})
     phi_full = float(res.x)
 
     # Newton-polish the argmax on the finite-difference score so that the
     # per-shot scores used below sum to zero to high precision.
     h = 1e-5
-    prof3 = score = curvature = None
+    score = curvature = None
     for _ in range(12):
-        prof3 = _phi_profile(k_a, k_b, secondary,
-                             [phi_full - h, phi_full, phi_full + h], n_theta)
-        score = (prof3[2] - prof3[0]) / (2.0 * h)
-        curvature = float((prof3[2].sum() - 2.0 * prof3[1].sum()
-                           + prof3[0].sum()) / h ** 2)
+        lm, l0, lp = (log_table(phi_full + d) for d in (-h, 0.0, h))
+        with np.errstate(invalid="ignore"):  # -inf - -inf only in empty cells
+            score = (lp - lm) / (2.0 * h)
+        curvature = (_cell_sum(counts, lp) - 2.0 * _cell_sum(counts, l0)
+                     + _cell_sum(counts, lm)) / h ** 2
         if curvature >= 0:
             raise RuntimeError("phase likelihood not locally concave at the optimum")
-        step = -float(score.sum()) / curvature
+        step = -_cell_sum(counts, score) / curvature
         if abs(step) < 1e-12:
             break
         phi_full = float(np.clip(phi_full + step, 0.0, np.pi))
     if not return_jackknife:
         return phi_full
 
-    m = k_a.size
-    phi_loo = phi_full + score / curvature  # leave-one-out, one-step Newton
+    m = record.n_shots
+    phi_loo = phi_full + score[record.k_a, record.k_b] / curvature  # one-step Newton
     pseudo = m * phi_full - (m - 1.0) * phi_loo
     return phi_full, JackknifeSeries(phi_jk=pseudo, phi_full=phi_full)
 

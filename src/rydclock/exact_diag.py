@@ -437,10 +437,11 @@ def run_sequence(g: ArrayGeometry, p: DressingParams, seq: PulseSequence,
     s = qubit_bloch_vector(psi_q, n)
     c = 2.0 * np.linalg.norm(s) / n
 
-    alpha_opt, var_min = quadrature_minimum(_quadrature_covariance(psi_q, n) / n)
+    cov = _quadrature_covariance(psi_q, n) / n
+    alpha_opt, var_min = quadrature_minimum(cov)
 
     def ratio(alpha):
-        return quadrature_variance_ratio(psi_q, n, alpha)
+        return quadratic_form(cov, alpha)
 
     return EDResult(
         contrast=float(c),

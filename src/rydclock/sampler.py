@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipse import EllipseModel, tempered_log_pmf
+from .ellipse import EllipseModel, _tempered_rows, tempered_log_pmf
 from .records import MeasurementRecord
 
 PHASE_MODES = ("fixed", "white", "random_uniform")
@@ -99,12 +99,13 @@ def sample_css(n_atoms, noise: NoiseSpec, n_shots, seed) -> MeasurementRecord:
 
 
 def _sample_tempered(n, p, inv_zeta_sq, u):
-    """Inverse-CDF draws: one count per (p, inv_zeta_sq, u) triple."""
-    out = np.empty(u.size, dtype=int)
-    for i in range(u.size):
-        cdf = np.cumsum(np.exp(tempered_log_pmf(n, p[i], inv_zeta_sq[i])))
-        out[i] = np.searchsorted(cdf, u[i] * cdf[-1])
-    return np.minimum(out, n)
+    """Inverse-CDF draws: one count per (p, inv_zeta_sq, u) triple.
+
+    The count of CDF entries below u times the total is the left-side
+    ``searchsorted`` index, taken for every row at once.
+    """
+    cdf = np.cumsum(np.exp(_tempered_rows(n, p, inv_zeta_sq)), axis=1)
+    return np.count_nonzero(cdf < u[:, None] * cdf[:, -1:], axis=1)
 
 
 def sample_sss(n_atoms, noise: NoiseSpec, model: EllipseModel, n_shots,
@@ -176,10 +177,8 @@ def sample_stability_run(n_atoms, noise: NoiseSpec, n_shots, t_dark, seed,
         else:
             inv = 1.0 / (zeta[0] ** 2 * np.sin(theta) ** 2
                          + zeta[1] ** 2 * np.cos(theta) ** 2)
-            p_a[i] = _sample_tempered(n_atoms, [np.clip(mean_a, 0, 1)], [inv],
-                                      u[:1, i])[0] / n_atoms
-            p_b[i] = _sample_tempered(n_atoms, [np.clip(mean_b, 0, 1)], [inv],
-                                      u[1:, i])[0] / n_atoms
+            p_a[i], p_b[i] = _sample_tempered(
+                n_atoms, np.clip([mean_a, mean_b], 0, 1), [inv, inv], u[:, i]) / n_atoms
         if servo == "integrator":
             # excitation error mapped back to phase on the sin fringe slope
             err = 0.5 * (p_a[i] + p_b[i]) - (0.5 + 0.5 * (noise.y_a + noise.y_b))

@@ -81,6 +81,18 @@ def test_scan_squeezing_ed_refuses_large_n(tmp_path):
                "--out-dir", str(tmp_path / "out")) == 2
 
 
+def test_scan_squeezing_ed_checks_every_size_before_writing(tmp_path):
+    cfg = _write_config(tmp_path, "scan.json", {
+        "dressing": {"omega_r_hz": 5.5e6, "delta_hz": 11e6, "c6_ghz_um6": 9.1},
+        "sizes": [[1, 2], [4, 4]],
+        "t_grid_us": [1.0],
+    })
+    out = tmp_path / "out"
+    assert run("scan-squeezing", "--config", cfg, "--engine", "ed",
+               "--out-dir", str(out)) == 2
+    assert not (out / "scan_squeezing_ed.csv").exists()
+
+
 def test_ed_evolve_small_system(tmp_path):
     cfg = _write_config(tmp_path, "ed.json", {
         "geometry": {"rows": 1, "cols": 2},
@@ -212,6 +224,21 @@ def test_ellipse_fit_end_to_end(tmp_path):
     assert (out / "ellipse_adev.csv").exists()
 
 
+def test_ellipse_fit_atom_number_mismatch_is_usage_error(tmp_path):
+    paths = {}
+    for label, n_atoms in (("cal", 20), ("meas", 70)):
+        cfg = _write_config(tmp_path, f"{label}.json", {
+            "seed": 3, "n_atoms": n_atoms, "n_shots": 40, "contrast": 0.9,
+            "phi_deg": 60.0})
+        assert run("sample-ellipse", "--config", cfg,
+                   "--out-dir", str(tmp_path / label)) == 0
+        paths[label] = str(tmp_path / label / "ellipse_css.csv")
+    fit_cfg = _write_config(tmp_path, "fit.json", {
+        "seed": 0, "n_bootstrap": 2, "n_theta": 24})
+    assert run("ellipse-fit", "--config", fit_cfg, "--cal", paths["cal"],
+               "--meas", paths["meas"], "--out-dir", str(tmp_path / "fit")) == 2
+
+
 def test_fisher_command(tmp_path):
     cfg = _write_config(tmp_path, "fisher.json", {
         "n_atoms": 30, "contrast": 0.95, "phi_deg": [0.0, 30.0],
@@ -248,6 +275,11 @@ def test_missing_input_file_is_usage_error(tmp_path):
 def test_unknown_manifest_command_is_usage_error(tmp_path):
     manifest = _write_config(tmp_path, "m.json", {
         "command": "nope", "params": {"out_dir": str(tmp_path / "out")}})
+    assert run("--from-manifest", manifest) == 2
+
+
+def test_non_object_manifest_is_usage_error(tmp_path):
+    manifest = _write_config(tmp_path, "m.json", [1, 2])
     assert run("--from-manifest", manifest) == 2
 
 

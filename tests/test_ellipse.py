@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -85,6 +87,34 @@ def test_log_likelihood_swap_invariance_and_validation():
         log_likelihood(rec, MODEL), abs=1e-9)
     with pytest.raises(ValueError):
         log_likelihood(rec, MODEL.replace(n_atoms=50))
+
+
+def test_log_likelihood_underflow_matches_oracle():
+    # at phi = 0 both ensembles see one p, and (1 - p)^N p^N <= 4^-N underflows
+    n = 600
+    model = EllipseModel(phi=0.0, contrast=0.5, y0=0.5, n_atoms=n)
+    rec = MeasurementRecord(p_a=np.array([0.0, 0.5]), p_b=np.array([1.0, 0.5]),
+                            n_a=np.full(2, n), n_b=np.full(2, n), mode="ellipse")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_likelihood(rec, model, n_theta=60)
+    with np.errstate(divide="ignore"):
+        want = plain_binomial_loglik(rec.k_a, rec.k_b, n, 0.0, 0.5, 0.5, 60)
+    assert got == want == -np.inf
+
+
+def test_atom_number_mismatch_is_rejected():
+    small = _css_record(60.0, 40, n_atoms=20)
+    cases = ((small, MODEL), (_css_record(60.0, 40), MODEL.replace(n_atoms=20)))
+    for rec, model in cases:
+        with pytest.raises(ValueError, match="atom number"):
+            fit_mle(rec, model, free=("phi",), n_theta=36, n_starts=1)
+        with pytest.raises(ValueError, match="atom number"):
+            estimate_phi(rec, model, n_theta=36)
+    mixed = MeasurementRecord(p_a=small.p_a, p_b=small.p_b, n_a=small.n_a,
+                              n_b=np.where(np.arange(40) % 2, 20, 21))
+    with pytest.raises(ValueError, match="atom number"):
+        log_likelihood(mixed, MODEL.replace(n_atoms=20))
 
 
 def test_fit_mle_recovers_known_parameters():

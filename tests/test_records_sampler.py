@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rydclock.ellipse import EllipseModel
+from rydclock.ellipse import EllipseModel, tempered_log_pmf
 from rydclock.records import MeasurementRecord
-from rydclock.sampler import (NoiseSpec, sample_css, sample_sss,
+from rydclock.sampler import (NoiseSpec, _sample_tempered, sample_css, sample_sss,
                               sample_stability_run, tempered_binomial_variance,
                               zeta_for_variance_gain)
 
@@ -193,3 +193,17 @@ def test_squeezed_stability_run_has_lower_differential_variance():
                                servo="off", zeta=0.6)
     assert (sss.p_a - sss.p_b).var() < 0.75 * (css.p_a - css.p_b).var()
     assert sss.interleaved_label == "sss"
+
+
+def test_vectorized_tempered_draws_match_per_shot_inverse_cdf():
+    rng = np.random.default_rng(6)
+    p = np.concatenate([rng.random(300), [0.0, 1.0, 0.0, 1.0]])
+    inv = rng.uniform(0.1, 5.0, p.size)
+    u = rng.random(p.size)
+    want = []
+    for p_i, inv_i, u_i in zip(p, inv, u):
+        cdf = np.cumsum(np.exp(tempered_log_pmf(70, p_i, inv_i)))
+        want.append(np.searchsorted(cdf, u_i * cdf[-1]))
+    got = _sample_tempered(70, p, inv, u)
+    assert np.array_equal(got, want)
+    assert list(got[-4:]) == [0, 70, 0, 70]
