@@ -16,9 +16,9 @@ from .weak_dressing import (CouplingMatrix, InteractionPhases,
                             couplings_from_potential, g2_correlator,
                             phases_for_geometry, scan_xi_vs_n,
                             variance_ratio, wineland)
-from .exact_diag import (DressingPulse, ClockPulse, PulseSequence,
-                         QuantumState, RampSchedule, dressed_pair_shift,
-                         run_sequence)
+from .exact_diag import (DressingEngine, DressingPulse, ClockPulse,
+                         PulseSequence, QuantumState, RampSchedule,
+                         dressed_pair_shift, run_sequence)
 from .records import MeasurementRecord
 from .sampler import NoiseSpec, sample_css, sample_sss, sample_stability_run
 from .stability import (AllanCurve, FrequencySeries, dz_from_record,

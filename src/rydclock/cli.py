@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .ellipse import EllipseModel, calibrated_pipeline, fisher_information_css
-from .exact_diag import N_CAP, PulseSequence, run_sequence
+from .exact_diag import N_CAP, DressingEngine, PulseSequence, run_sequence
 from .geometry import build_subarrays
 from .potentials import (DressingParams, FitError, PairOscillationData,
                          SoftCorePotential, fit_soft_core, fit_report_json)
@@ -153,11 +153,11 @@ def cmd_scan_squeezing(params, out_dir):
                     "var_ratio_min", "xi_db", "max_rydberg_pop"])
         for rows_, cols_ in sizes:
             n = rows_ * cols_
-            g = build_subarrays(rows_, cols_, spacing[0], spacing[1], 1,
-                                lattice_constant=a_lat)
+            engine = DressingEngine(build_subarrays(
+                rows_, cols_, spacing[0], spacing[1], 1, lattice_constant=a_lat), dp)
             best = None
             for t_int in t_grid:
-                res = run_sequence(g, dp, PulseSequence.spin_echo(t_int))
+                res = engine.run(PulseSequence.spin_echo(t_int))
                 if best is None or res.xi_w_sq < best[1].xi_w_sq:
                     best = (t_int, res)
             t_opt, res = best

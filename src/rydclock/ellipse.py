@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .records import MeasurementRecord
 
@@ -87,6 +87,29 @@ def _log_binom_coeff(n):
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
+def _logsumexp_rows(x):
+    """Row-wise ``scipy.special.logsumexp(x, axis=1, keepdims=True)``, bit for bit.
+
+    The same operations in the same order (the row maximum, its tie count
+    m, the exp-sum of the other entries over m, then log1p(s) + log(m) +
+    max) without scipy's fixed per-call overhead, which dominated one-row
+    calls.  Non-finite results fall back to log(sum(exp(x))), as scipy does.
+    """
+    x_max = np.max(x, axis=1, keepdims=True)
+    is_max = x == x_max
+    m = np.sum(is_max, axis=1, keepdims=True, dtype=x.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, x) - x_max), axis=1,
+                   keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + x_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.sum(np.exp(x), axis=1, keepdims=True)),
+                           out)
+    return out
+
+
 def _tempered_rows(n, p, inv_zeta_sq):
     """(len(p), n+1) normalized log mass functions of tempered binomials.
 
@@ -102,7 +125,7 @@ def _tempered_rows(n, p, inv_zeta_sq):
     x = inv_zeta_sq[:, None] * (_log_binom_coeff(n)[None, :]
                                 + k[None, :] * np.log(pc)[:, None]
                                 + (n - k)[None, :] * np.log1p(-pc)[:, None])
-    out = x - logsumexp(x, axis=1, keepdims=True)
+    out = x - _logsumexp_rows(x)
     if edge.any():
         out[edge] = 2.0 * _LOG_TINY
         out[edge, np.where(p[edge] <= 0.0, 0, n)] = 0.0
@@ -224,6 +247,8 @@ def fit_mle(data: MeasurementRecord, init: EllipseModel,
         params["y0"] = float(np.clip(params.get("y0", init.y0),
                                      c / 2.0, 1.0 - c / 2.0))
     model = init.replace(**params)
+    if not best.success:
+        flags.append(f"not converged: {best.message}")
     for name in free:
         b = _BOUNDS[name]
         if abs(params[name] - b[0]) < 1e-6 or abs(params[name] - b[1]) < 1e-6:
@@ -319,6 +344,7 @@ def calibrated_pipeline(data_cal: MeasurementRecord, data_meas: MeasurementRecor
 
     if data_cal.n_shots == 0 or data_meas.n_shots == 0:
         raise ValueError("calibration and measurement records must be nonempty")
+    _pair_counts(data_meas, init.n_atoms)  # reject a mismatch before the fit
 
     cal_fit = fit_mle(data_cal, init, free=free, n_theta=n_theta)
     secondary = cal_fit.model

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,11 +132,92 @@ def _qubit_projection(n_atoms):
     return src, dest
 
 
+def _site_isometries(r_dist):
+    """(G, N) array of the site permutations that keep every pair distance.
+
+    Found by backtracking, one site at a time; distances match to rounding
+    (relative 1e-12).  The identity comes first.
+    """
+    n = len(r_dist)
+    same = np.isclose(r_dist[:, :, None, None], r_dist[None, None],
+                      rtol=1e-12, atol=0.0)  # same[i, j, a, b]: r_ij == r_ab
+    found = []
+
+    def extend(perm):
+        i = len(perm)
+        if i == n:
+            found.append(perm)
+            return
+        for a in range(n):
+            if a not in perm and all(same[i, j, a, b] for j, b in enumerate(perm)):
+                extend(perm + [a])
+
+    extend([])
+    return np.array(found)
+
+
+class _BlockGroup:
+    """Every active-subset block of one size k, stacked.
+
+    ``idx[j, b]`` is the 3^N basis index of state b of block j, where bit a
+    of b puts the block's a-th active site in |r> (else |e>).  Blocks whose
+    active sites map onto each other under a site isometry have the same
+    Hamiltonian once their sites are listed in corresponding order, so only
+    one representative per orbit is diagonalized: block j uses
+    representative ``rep_of[j]``.  ``n_r[b]`` is shared by all blocks,
+    ``v_int[i, b]`` is representative i's sum of 1/r^6 over its |r> pairs,
+    and ``hop`` is the sum of sigma_x over the k active sites.
+    """
+
+    def __init__(self, subsets, r_dist, isometries):
+        m, k = subsets.shape
+        position = np.full(2 ** len(r_dist), -1)
+        position[(1 << subsets).sum(axis=1)] = np.arange(m)
+        image = position[(1 << isometries[:, subsets]).sum(axis=2)]  # (G, m)
+        g_best = np.argmin(image, axis=0)
+        rep = image[g_best, np.arange(m)]
+        # block j's sites, listed as the preimages of its representative's
+        inverse = np.argsort(isometries, axis=1)
+        sites = inverse[g_best[:, None], subsets[rep]]
+        reps, self.rep_of = np.unique(rep, return_inverse=True)
+
+        bits = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1  # 1 = |r>
+        self.idx = ((1 + bits) @ (3 ** sites).T).T
+        self.n_r = bits.sum(axis=1).astype(float)
+        self.v_int = np.zeros((reps.size, 2 ** k))
+        for a in range(k):
+            for c in range(a + 1, k):
+                both = (bits[:, a] == 1) & (bits[:, c] == 1)
+                self.v_int[:, both] += (
+                    1.0 / r_dist[subsets[reps, a], subsets[reps, c]] ** 6)[:, None]
+        self.hop = np.zeros((2 ** k, 2 ** k))
+        for a in range(k):
+            self.hop[np.arange(2 ** k), np.arange(2 ** k) ^ (1 << a)] = 1.0
+
+    def hamiltonians(self, omega_r, delta, c6):
+        """(reps, 2^k, 2^k) stack of the representatives' real symmetric H."""
+        m, dim = self.v_int.shape
+        h = np.broadcast_to(0.5 * omega_r * self.hop, (m, dim, dim)).copy()
+        h.reshape(m, dim * dim)[:, ::dim + 1] = delta * self.n_r + c6 * self.v_int
+        return h
+
+
+def _real_matmul(v, z):
+    """v @ z for real v and complex z, as one real product on z's float view."""
+    z = np.ascontiguousarray(z)
+    return (v @ z.view(np.float64)).view(complex)
+
+
 class HamiltonianTerms:
-    """Geometry-fixed sparse building blocks of H3 / hbar.
+    """Geometry-fixed building blocks of H3 / hbar.
 
     H(t) = omega_r * T_er + delta * T_rr + c6 * T_int + omega_c * T_ge
-    with T_er, T_ge carrying the 1/2 drive prefactors.
+    with T_er, T_ge carrying the 1/2 drive prefactors.  With the clock drive
+    off, atoms in |g> are frozen, so H is block diagonal over subsets S of
+    non-ground ("active") atoms, each block an {e, r} spin problem of
+    dimension 2^|S|.  The blocks are kept stacked by size (``groups``, one
+    per k = 0..N), so every propagator below is one batched LAPACK or BLAS
+    call per block size.
     """
 
     def __init__(self, g: ArrayGeometry):
@@ -145,84 +228,84 @@ class HamiltonianTerms:
                 f"N={n} exceeds the exact-diagonalization cap of {N_CAP} "
                 f"(a dense 3^{n} operator alone would need ~{mem_gb:.1f} GB)")
         self.n_atoms = n
+        self.r_dist = distance_matrix(g)
+        isometries = _site_isometries(self.r_dist)
+        self.groups = [
+            _BlockGroup(np.array(list(combinations(range(n), k)),
+                                 dtype=int).reshape(comb(n, k), k),
+                        self.r_dist, isometries)
+            for k in range(n + 1)]
+
+    def assemble(self, omega_r, delta, omega_c, c6):
+        """Full sparse 3^N Hamiltonian; the reference for the block path."""
+        n = self.n_atoms
         dim = 3 ** n
         digits = _digit_table(n)
-        r_dist = distance_matrix(g)
-
-        self.t_rr = sp.diags((digits == 2).sum(axis=1).astype(float)).tocsr()
-
         inv_r6 = np.zeros(dim)
         for i in range(n):
             for j in range(i + 1, n):
                 both_r = (digits[:, i] == 2) & (digits[:, j] == 2)
-                inv_r6[both_r] += 1.0 / r_dist[i, j] ** 6
-        self.t_int = sp.diags(inv_r6).tocsr()
+                inv_r6[both_r] += 1.0 / self.r_dist[i, j] ** 6
 
-        self.t_er = self._hop(digits, 1, 2) * 0.5
-        self.t_ge = self._hop(digits, 0, 1) * 0.5
-        self.r_dist = r_dist
+        def hop(lo, hi):
+            rows = np.concatenate([np.nonzero(digits[:, i] == lo)[0] + (hi - lo) * 3 ** i
+                                   for i in range(n)])
+            cols = np.concatenate([np.nonzero(digits[:, i] == lo)[0] for i in range(n)])
+            m = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
+            return 0.5 * (m + m.T)
 
-    def _hop(self, digits, lo, hi):
-        n = self.n_atoms
-        dim = 3 ** n
-        rows, cols = [], []
-        for i in range(n):
-            src = np.nonzero(digits[:, i] == lo)[0]
-            dst = src + (hi - lo) * 3 ** i
-            rows.append(dst)
-            cols.append(src)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.ones(rows.size)
-        m = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim))
-        return (m + m.T).tocsr()
+        return (omega_r * hop(1, 2) + delta * sp.diags((digits == 2).sum(axis=1) * 1.0)
+                + c6 * sp.diags(inv_r6) + omega_c * hop(0, 1)).tocsr()
 
-    def assemble(self, omega_r, delta, omega_c, c6):
-        """Full sparse 3^N Hamiltonian; the reference for the block path."""
-        return (omega_r * self.t_er + delta * self.t_rr
-                + c6 * self.t_int + omega_c * self.t_ge).tocsr()
+    def plateau_basis(self, omega_r, delta, c6):
+        """Per-group (eigenvalues, real eigenvectors) of the clock-off blocks."""
+        out = []
+        for grp in self.groups:
+            w, v = np.linalg.eigh(grp.hamiltonians(omega_r, delta, c6))
+            out.append((w[grp.rep_of], v[grp.rep_of]))
+        return out
 
-    def _active_blocks(self):
-        """Invariant subspaces of the clock-off Hamiltonian.
+    def ramp_unitaries(self, p, schedule, direction):
+        """Per-group ramp propagators, built one CF4 half-step at a time.
 
-        With the clock drive off, atoms in |g> are frozen, so the Hamiltonian
-        is block diagonal over subsets of non-ground ("active") atoms, each
-        block an {e, r} spin problem of dimension 2^|S|.  Returns a list of
-        (global_indices, n_r per block state, interaction energy per block
-        state, active site tuple).
+        Each step applies the fourth-order commutator-free Magnus scheme (two
+        exponentials built from the drive values at the Gauss nodes), each
+        exponential one batched ``eigh`` per block size.  The steps are folded
+        into the running product rather than stored.
         """
-        from itertools import combinations
+        n_steps = schedule.n_ramp_steps()
+        dt = schedule.ramp_duration / n_steps
+        us = [np.broadcast_to(np.eye(grp.n_r.size, dtype=complex),
+                              grp.v_int.shape + grp.n_r.shape).copy()
+              for grp in self.groups]  # one per orbit representative
+        for s in range(n_steps):
+            for omega_r, delta in _cf4_values(p, schedule, direction, s, dt):
+                for i, grp in enumerate(self.groups):
+                    w, v = np.linalg.eigh(grp.hamiltonians(omega_r, delta, p.c6))
+                    phase = np.exp(-0.5j * w * dt)[..., None]
+                    us[i] = _real_matmul(
+                        v, phase * _real_matmul(v.swapaxes(-1, -2), us[i]))
+        return [u[grp.rep_of] for grp, u in zip(self.groups, us)]
 
-        n = self.n_atoms
-        pow3 = 3 ** np.arange(n)
-        blocks = []
-        for k in range(n + 1):
-            for subset in combinations(range(n), k):
-                b = np.arange(2 ** k)
-                bits = (b[:, None] >> np.arange(k)) & 1  # 1 = |r>
-                digits = 1 + bits
-                idx = (digits * pow3[list(subset)]).sum(axis=1)
-                n_r = bits.sum(axis=1).astype(float)
-                v_int = np.zeros(2 ** k)
-                for a in range(k):
-                    for c in range(a + 1, k):
-                        both = (bits[:, a] == 1) & (bits[:, c] == 1)
-                        v_int[both] += 1.0 / self.r_dist[subset[a], subset[c]] ** 6
-                blocks.append((idx, n_r, v_int, subset))
-        return blocks
+    def apply(self, psi, unitaries, transpose=False):
+        """Apply one (m, 2^k, 2^k) propagator stack per group to a 3^N state."""
+        psi = np.asarray(psi, dtype=complex)
+        out = np.empty(psi.shape, dtype=complex)
+        for grp, u in zip(self.groups, unitaries):
+            if transpose:
+                u = u.swapaxes(-1, -2)
+            out[grp.idx] = (u @ psi[grp.idx][..., None])[..., 0]
+        return out
 
-    @staticmethod
-    def _block_h(block, omega_r, delta, c6):
-        _, n_r, v_int, subset = block
-        k = len(subset)
-        dim = 2 ** k
-        h = np.zeros((dim, dim))
-        np.fill_diagonal(h, delta * n_r + c6 * v_int)
-        half = 0.5 * omega_r
-        for a in range(k):
-            flip = np.arange(dim) ^ (1 << a)
-            h[np.arange(dim), flip] = half
-        return h
+    def apply_plateau(self, psi, basis, duration):
+        """exp(-i H duration) psi from the groups' eigenbases (``plateau_basis``)."""
+        psi = np.asarray(psi, dtype=complex)
+        out = np.empty(psi.shape, dtype=complex)
+        for grp, (w, v) in zip(self.groups, basis):
+            sub = _real_matmul(v.swapaxes(-1, -2), psi[grp.idx][..., None])
+            out[grp.idx] = _real_matmul(v, np.exp(-1j * w * duration)[..., None]
+                                        * sub)[..., 0]
+        return out
 
     def propagate_clock_off(self, psi, omega_r, delta, c6, duration):
         """Exact constant-Hamiltonian evolution with the clock drive off.
@@ -231,36 +314,12 @@ class HamiltonianTerms:
         is independent of the duration -- this is what makes millisecond
         plateaus tractable at N = 9.
         """
-        if not hasattr(self, "_blocks"):
-            self._blocks = self._active_blocks()
-        out = psi.astype(complex).copy()
-        for block in self._blocks:
-            idx = block[0]
-            w, v = np.linalg.eigh(self._block_h(block, omega_r, delta, c6))
-            out[idx] = v @ (np.exp(-1j * w * duration) * (v.conj().T @ out[idx]))
-        return out
+        return self.apply_plateau(psi, self.plateau_basis(omega_r, delta, c6),
+                                  duration)
 
     def propagate_clock_off_ramp(self, psi, p, schedule, direction):
-        """Ramp evolution using the same active-subset blocks.
-
-        Each step applies the fourth-order commutator-free Magnus scheme (two
-        exponentials built from the drive values at the Gauss nodes).
-        """
-        if not hasattr(self, "_blocks"):
-            self._blocks = self._active_blocks()
-        n_steps = schedule.n_ramp_steps()
-        dt = schedule.ramp_duration / n_steps
-        out = psi.astype(complex).copy()
-        for block in self._blocks:
-            idx = block[0]
-            sub = out[idx]
-            for s in range(n_steps):
-                for omega_r, delta in _cf4_values(p, schedule, direction, s, dt):
-                    w, v = np.linalg.eigh(self._block_h(block, omega_r, delta,
-                                                        p.c6))
-                    sub = v @ (np.exp(-0.5j * w * dt) * (v.conj().T @ sub))
-            out[idx] = sub
-        return out
+        """Ramp evolution on the same active-subset blocks (``ramp_unitaries``)."""
+        return self.apply(psi, self.ramp_unitaries(p, schedule, direction))
 
 
 def clock_rotation(state: QuantumState, angle, phase=0.0) -> QuantumState:
@@ -379,78 +438,109 @@ def _cf4_values(p, schedule, direction, step_index, dt):
     )
 
 
-def _dressing_pulse(state, terms, p, schedule, plateau):
-    """Up-ramp, plateau and down-ramp, each propagated on the clock-off blocks.
+class DressingEngine:
+    """Clock-off propagation for one (geometry, DressingParams, RampSchedule).
 
-    Returns the final state and the largest Rydberg population after any leg.
+    The ramps and the plateau Hamiltonian do not depend on the state, so each
+    block size's up-ramp unitary and plateau eigenbasis are built once, on
+    first use, and every dressing pulse after that is a few batched mat-vecs
+    per block size.  The down ramp is the transpose of the up ramp: the block
+    Hamiltonians are real symmetric, and the mirrored ramp visits the up
+    ramp's CF4 exponentials in reverse order.  Reuse one engine across a
+    t_int scan; ``run_sequence`` builds a fresh one per call.
     """
-    legs = ["plateau"] if plateau > 0 else []
-    if schedule.ramp_duration > 0:
-        legs = ["up", *legs, "down"]
-    max_ryd = 0.0
-    for leg in legs:
-        if leg == "plateau":
-            psi = terms.propagate_clock_off(state.amplitudes, p.omega_r,
-                                            p.delta, p.c6, plateau)
-        else:
-            psi = terms.propagate_clock_off_ramp(state.amplitudes, p, schedule,
-                                                 leg)
-        state = QuantumState(psi / np.linalg.norm(psi))
-        max_ryd = max(max_ryd, project_qubit(state)[1])
-    return state, max_ryd
+
+    def __init__(self, g: ArrayGeometry, p: DressingParams,
+                 schedule: RampSchedule = None):
+        self.terms = HamiltonianTerms(g)
+        self.p = p
+        self.schedule = schedule or RampSchedule()
+
+    @cached_property
+    def _up_ramp(self):
+        return self.terms.ramp_unitaries(self.p, self.schedule, "up")
+
+    @cached_property
+    def _plateau_basis(self):
+        return self.terms.plateau_basis(self.p.omega_r, self.p.delta, self.p.c6)
+
+    def _dressing_pulse(self, state, plateau):
+        """Up-ramp, plateau and down-ramp on the clock-off blocks.
+
+        Returns the final state and the largest Rydberg population after any leg.
+        """
+        legs = ["plateau"] if plateau > 0 else []
+        if self.schedule.ramp_duration > 0:
+            legs = ["up", *legs, "down"]
+        max_ryd = 0.0
+        for leg in legs:
+            if leg == "plateau":
+                psi = self.terms.apply_plateau(state.amplitudes,
+                                               self._plateau_basis, plateau)
+            else:
+                psi = self.terms.apply(state.amplitudes, self._up_ramp,
+                                       transpose=leg == "down")
+            state = QuantumState(psi / np.linalg.norm(psi))
+            max_ryd = max(max_ryd, project_qubit(state)[1])
+        return state, max_ryd
+
+    def run(self, seq: PulseSequence) -> EDResult:
+        """Execute the pulse sequence and extract squeezing observables.
+
+        Clock pulses are ideal rotations; a zero-duration dressing segment is
+        a no-op (the experiment simply would not pulse the Rydberg laser).
+        The final quadrature rotation and pi/2 pulse are folded into the
+        quadrature analysis of the post-interaction state; the Rydberg level
+        is projected out (and its maximum population reported) before
+        observables.  The optimal quadrature is closed form: the variance
+        ratio is a quadratic form in (cos alpha, sin alpha), so its minimum
+        ``var_ratio_min`` is the smaller eigenvalue of the (M_z, M_perp)
+        covariance over N, and ``alpha_opt`` is the angle of that eigenvector.
+        """
+        return self._run(seq)
+
+    def _run(self, seq):
+        # the adiabaticity warning names the caller of run or run_sequence
+        n = self.terms.n_atoms
+        state = QuantumState.ground(n)
+        max_ryd = 0.0
+        for seg in seq.segments:
+            if isinstance(seg, ClockPulse):
+                state = clock_rotation(state, seg.angle, seg.phase)
+            elif isinstance(seg, DressingPulse):
+                if seg.duration > 0:
+                    state, ryd = self._dressing_pulse(state, seg.duration)
+                    max_ryd = max(max_ryd, ryd)
+            else:
+                raise TypeError(f"unknown sequence segment: {seg!r}")
+
+        psi_q, residual_ryd = project_qubit(state)
+        if residual_ryd > 0.05:
+            warnings.warn(f"residual Rydberg population {residual_ryd:.3f} exceeds "
+                          "5%: adiabaticity violated", stacklevel=3)
+        s = qubit_bloch_vector(psi_q, n)
+        c = 2.0 * np.linalg.norm(s) / n
+
+        cov = _quadrature_covariance(psi_q, n) / n
+        alpha_opt, var_min = quadrature_minimum(cov)
+
+        def ratio(alpha):
+            return quadratic_form(cov, alpha)
+
+        return EDResult(
+            contrast=float(c),
+            xi_w_sq=float(var_min / c ** 2),
+            alpha_opt=float(alpha_opt),
+            var_ratio_min=float(var_min),
+            max_rydberg_population=float(max_ryd),
+            variance_ratio=ratio,
+        )
 
 
 def run_sequence(g: ArrayGeometry, p: DressingParams, seq: PulseSequence,
                  schedule: RampSchedule = None) -> EDResult:
-    """Execute the pulse sequence and extract squeezing observables.
-
-    Clock pulses are ideal rotations; a zero-duration dressing segment is a
-    no-op (the experiment simply would not pulse the Rydberg laser).  Every
-    dressing ramp and plateau is propagated on the blocks of the clock-off
-    Hamiltonian, at every N.  The final quadrature rotation and pi/2 pulse
-    are folded into the quadrature analysis of the post-interaction state;
-    the Rydberg level is projected out (and its maximum population reported)
-    before observables.  The optimal quadrature is closed form: the variance
-    ratio is a quadratic form in (cos alpha, sin alpha), so its minimum
-    ``var_ratio_min`` is the smaller eigenvalue of the (M_z, M_perp)
-    covariance over N, and ``alpha_opt`` is the angle of that eigenvector.
-    """
-    schedule = schedule or RampSchedule()
-    terms = HamiltonianTerms(g)
-    n = g.n_atoms
-    state = QuantumState.ground(n)
-    max_ryd = 0.0
-    for seg in seq.segments:
-        if isinstance(seg, ClockPulse):
-            state = clock_rotation(state, seg.angle, seg.phase)
-        elif isinstance(seg, DressingPulse):
-            if seg.duration > 0:
-                state, ryd = _dressing_pulse(state, terms, p, schedule, seg.duration)
-                max_ryd = max(max_ryd, ryd)
-        else:
-            raise TypeError(f"unknown sequence segment: {seg!r}")
-
-    psi_q, residual_ryd = project_qubit(state)
-    if residual_ryd > 0.05:
-        warnings.warn(f"residual Rydberg population {residual_ryd:.3f} exceeds "
-                      "5%: adiabaticity violated", stacklevel=2)
-    s = qubit_bloch_vector(psi_q, n)
-    c = 2.0 * np.linalg.norm(s) / n
-
-    cov = _quadrature_covariance(psi_q, n) / n
-    alpha_opt, var_min = quadrature_minimum(cov)
-
-    def ratio(alpha):
-        return quadratic_form(cov, alpha)
-
-    return EDResult(
-        contrast=float(c),
-        xi_w_sq=float(var_min / c ** 2),
-        alpha_opt=float(alpha_opt),
-        var_ratio_min=float(var_min),
-        max_rydberg_population=float(max_ryd),
-        variance_ratio=ratio,
-    )
+    """``DressingEngine(g, p, schedule).run(seq)`` on a fresh engine."""
+    return DressingEngine(g, p, schedule)._run(seq)
 
 
 def dressed_pair_shift(p: DressingParams, r):

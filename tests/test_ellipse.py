@@ -135,6 +135,57 @@ def test_fit_mle_flags_degenerate_record():
     assert any("degenerate" in f for f in fit.flags)
 
 
+def test_fit_mle_flags_non_converged_optimizer(monkeypatch):
+    from rydclock import ellipse
+
+    real_minimize = ellipse.minimize
+
+    def starved(fun, x0, method=None, options=None):
+        return real_minimize(fun, x0, method=method,
+                             options={**options, "maxiter": 3})
+
+    monkeypatch.setattr(ellipse, "minimize", starved)
+    rec = _css_record(60.0, 200, seed=5)
+    fit = fit_mle(rec, MODEL.replace(phi=np.radians(45.0)),
+                  free=("phi", "contrast"), n_theta=36, n_starts=2)
+    flags = [f for f in fit.flags if f.startswith("not converged: ")]
+    assert len(flags) == 1 and "iterations" in flags[0]
+    monkeypatch.undo()
+    fit = fit_mle(rec, MODEL.replace(phi=np.radians(45.0)),
+                  free=("phi", "contrast"), n_theta=36, n_starts=1)
+    assert not any(f.startswith("not converged") for f in fit.flags)
+
+
+def test_logsumexp_rows_bit_identical_to_scipy():
+    from scipy.special import logsumexp
+
+    from rydclock.ellipse import _LOG_TINY, _log_binom_coeff, _logsumexp_rows
+
+    rng = np.random.default_rng(3)
+    rows = [rng.standard_normal((200, 71)) * scale for scale in (1e-3, 1.0, 40.0)]
+    tied = np.round(rng.standard_normal((50, 71)))  # many tied maxima
+    tied[:10] = 7.0  # every entry is the maximum
+    rows.append(tied)
+    # the tempered-binomial exponents _tempered_rows builds, boundary p included
+    n = 70
+    k = np.arange(n + 1)
+    p = np.concatenate([[0.0, 1.0, 1e-300, 1e-12, 1.0 - 1e-16],
+                        rng.uniform(0.0, 1.0, 200)])
+    inv = rng.uniform(0.05, 20.0, p.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = inv[:, None] * (_log_binom_coeff(n)[None, :] + k * np.log(p)[:, None]
+                            + (n - k) * np.log1p(-p)[:, None])
+    rows.append(x)
+    rows.append(np.where(rng.uniform(size=(20, 71)) < 0.5, 2.0 * _LOG_TINY, 0.0))
+    rows.append(np.full((3, 71), -np.inf))
+    for x in rows:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = logsumexp(x, axis=1, keepdims=True)
+        got = _logsumexp_rows(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_estimate_phi_recovery_and_jackknife_identity():
     rec = _css_record(60.0, 600, seed=8)
     phi_full, jk = estimate_phi(rec, MODEL.replace(phi=0.0), n_theta=180,
@@ -165,6 +216,20 @@ def test_calibrated_pipeline_outputs():
                               n_a=np.empty(0, int), n_b=np.empty(0, int))
     with pytest.raises(ValueError):
         calibrated_pipeline(empty, meas, init)
+
+
+def test_calibrated_pipeline_rejects_atom_number_before_fitting(monkeypatch):
+    from rydclock import ellipse
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_mle ran before the atom-number check")
+
+    monkeypatch.setattr(ellipse, "fit_mle", no_fit)
+    cal = _css_record(60.0, 40, seed=10, n_atoms=20)
+    meas = _css_record(60.0, 40, seed=11, n_atoms=30)
+    init = EllipseModel(phi=np.radians(50.0), contrast=0.85, y0=0.5, n_atoms=20)
+    with pytest.raises(ValueError, match="atom number"):
+        calibrated_pipeline(cal, meas, init, n_bootstrap=2, n_theta=36)
 
 
 def test_fisher_information_properties():

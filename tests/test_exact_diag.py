@@ -97,6 +97,48 @@ def test_block_ramp_matches_dense_ramp():
         assert np.allclose(blocked, ref, atol=1e-9)
 
 
+def test_down_ramp_is_transpose_of_up_ramp():
+    sched = RampSchedule()
+    for g in (PAIR, build_subarrays(2, 2, 2, 2, 1)):
+        terms = HamiltonianTerms(g)
+        up = terms.ramp_unitaries(PAPER, sched, "up")
+        down = terms.ramp_unitaries(PAPER, sched, "down")  # step by step
+        for u, d in zip(up, down):
+            assert np.max(np.abs(d - u.swapaxes(-1, -2))) < 1e-10
+
+
+def test_ed_scan_row_is_best_of_independent_runs(tmp_path):
+    import csv
+    import json
+
+    from rydclock import cli
+
+    dressing = {"omega_r_hz": 5.5e6, "delta_hz": 11e6, "c6_ghz_um6": 9.1}
+    t_grid_us = [1.0, 2.0, 3.0]
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"engine": "ed", "dressing": dressing,
+                               "sizes": [[1, 3]], "t_grid_us": t_grid_us}))
+    assert cli.main(["scan-squeezing", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "scan_squeezing_ed.csv", newline="") as fh:
+        header, row = list(csv.reader(fh))
+
+    # one fresh engine per point, geometry and units built as the CLI does
+    g = build_subarrays(1, 3, 2, 2, 1, lattice_constant=575.0 * 1e-9)
+    p = DressingParams.from_hz(**dressing)
+    best = None
+    for t_us in t_grid_us:
+        res = run_sequence(g, p, PulseSequence.spin_echo(t_us * 1e-6))
+        if best is None or res.xi_w_sq < best[1].xi_w_sq:
+            best = (t_us * 1e-6, res)
+    t_opt, res = best
+    expected = [3, t_opt * 1e6, np.degrees(res.alpha_opt), res.contrast,
+                res.var_ratio_min, 10.0 * np.log10(res.xi_w_sq),
+                res.max_rydberg_population]
+    assert header[0] == "N"
+    assert row == [str(v) for v in expected]
+
+
 def test_exchange_symmetry_preserved():
     terms = HamiltonianTerms(PAIR)
     psi = clock_rotation(QuantumState.ground(2), np.pi / 2).amplitudes
