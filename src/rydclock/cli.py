@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .potentials import (DressingParams, FitError, PairOscillationData,
 from .records import MeasurementRecord
 from .sampler import NoiseSpec, sample_css, sample_sss, sample_stability_run
 from .stability import dz_from_record, freq_series, overlapping_adev
-from .weak_dressing import scan_xi_vs_n, write_scan_csv
+from .weak_dressing import _best_over_t_int, scan_xi_vs_n, write_scan_csv
 
 USAGE_ERROR, NUMERICAL_ERROR = 2, 3
 OUTPUT_DIR_ENV = "RYDCLOCK_OUTPUT_DIR"
@@ -51,15 +52,18 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _params_sha256(params):
+    return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
+
+
 def _write_manifest(out_dir, command, params, outputs):
     import scipy
 
     params = json.loads(json.dumps(params, sort_keys=True, default=_json_default))
-    blob = json.dumps(params, sort_keys=True).encode()
     manifest = {
         "command": command,
         "params": params,
-        "config_sha256": hashlib.sha256(blob).hexdigest(),
+        "config_sha256": _params_sha256(params),
         "seed": params.get("seed"),
         "versions": {"rydclock": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
@@ -138,32 +142,21 @@ def cmd_scan_squeezing(params, out_dir):
 
     if engine != "ed":
         raise UsageError("engine must be 'weak' or 'ed'")
-    import csv as _csv
-
     dp = _dressing_from(params)
     for rows_, cols_ in sizes:
         if rows_ * cols_ > N_CAP:
             raise UsageError(
                 f"exact diagonalization supports at most {N_CAP} atoms; "
                 f"requested N={rows_ * cols_}")
+
+    def observer(rows_, cols_):
+        # one engine per size, so its ramps are built once for the whole grid
+        engine = DressingEngine(build_subarrays(
+            rows_, cols_, spacing[0], spacing[1], 1, lattice_constant=a_lat), dp)
+        return lambda t_int: engine.run(PulseSequence.spin_echo(t_int))
+
     out = os.path.join(out_dir, "scan_squeezing_ed.csv")
-    with open(out, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["N", "t_int_us", "alpha_opt_deg", "contrast",
-                    "var_ratio_min", "xi_db", "max_rydberg_pop"])
-        for rows_, cols_ in sizes:
-            n = rows_ * cols_
-            engine = DressingEngine(build_subarrays(
-                rows_, cols_, spacing[0], spacing[1], 1, lattice_constant=a_lat), dp)
-            best = None
-            for t_int in t_grid:
-                res = engine.run(PulseSequence.spin_echo(t_int))
-                if best is None or res.xi_w_sq < best[1].xi_w_sq:
-                    best = (t_int, res)
-            t_opt, res = best
-            w.writerow([n, t_opt * 1e6, np.degrees(res.alpha_opt),
-                        res.contrast, res.var_ratio_min,
-                        10.0 * np.log10(res.xi_w_sq), res.max_rydberg_population])
+    write_scan_csv(out, _best_over_t_int(sizes, t_grid, observer))
     return [out]
 
 
@@ -171,10 +164,7 @@ def cmd_ed_evolve(params, out_dir):
     g_params = _require(params, "geometry")
     rows_ = _require(g_params, "rows", int, "geometry")
     cols_ = _require(g_params, "cols", int, "geometry")
-    n = rows_ * cols_
-    if n > N_CAP:
-        raise UsageError(f"exact diagonalization supports at most {N_CAP} "
-                         f"atoms; requested N={n}")
+    n = rows_ * cols_  # above N_CAP, HamiltonianTerms raises AtomNumberError
     a_lat = float(params.get("lattice_constant_nm", 575.0)) * 1e-9
     g = build_subarrays(rows_, cols_, int(g_params.get("spacing", 2)),
                         int(g_params.get("spacing", 2)), 1,
@@ -333,11 +323,6 @@ _COMMANDS = {
     "fisher": cmd_fisher,
 }
 
-_FLAG_KEYS = {
-    "input": "--in", "cal": "--cal", "meas": "--meas", "axis": "--axis",
-    "seed": "--seed", "engine": "--engine",
-}
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -375,6 +360,13 @@ def main(argv=None):
                 raise UsageError(f"manifest: unknown command {command!r}")
             if not isinstance(params, dict):
                 raise UsageError("manifest: params must be an object")
+            if manifest.get("config_sha256") != _params_sha256(params):
+                raise UsageError("manifest: params do not match config_sha256")
+            versions = manifest.get("versions")
+            written_by = versions.get("rydclock") if isinstance(versions, dict) else None
+            if written_by != __version__:
+                warnings.warn(f"manifest written by rydclock {written_by}, "
+                              f"replaying with {__version__}", stacklevel=2)
             out_dir = params.get("out_dir") or "."
         else:
             if not args.command:

@@ -56,9 +56,6 @@ class EllipseModel:
         vals.update(kwargs)
         return EllipseModel(**vals)
 
-    def as_vector(self):
-        return np.array([getattr(self, name) for name in _PARAM_NAMES])
-
 
 @dataclass
 class LikelihoodResult:

@@ -15,11 +15,10 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import ArrayGeometry, distance_matrix
 from .potentials import DressingParams
-from .weak_dressing import quadratic_form, quadrature_minimum
+from .weak_dressing import SqueezingObservables, quadratic_form
 
 N_CAP = 9
 
@@ -68,10 +67,17 @@ class RampSchedule:
     step: float = 6.5e-9
     delta_high: float = None  # rad/s at the start of the up-ramp; default 3x plateau
 
+    def __post_init__(self):
+        if self.ramp_duration < 0:
+            raise ValueError("ramp_duration must be nonnegative")
+        if self.step <= 0:
+            raise ValueError("ramp step must be positive")
+        if self.ramp_duration > 0 and self.step > self.ramp_duration:
+            raise ValueError("ramp step must not exceed ramp_duration")
+
     def n_ramp_steps(self):
-        if self.ramp_duration == 0:
-            return 0
-        return max(1, int(round(self.ramp_duration / self.step)))
+        """Number of CF4 steps per ramp; 0 for a zero-length ramp."""
+        return int(round(self.ramp_duration / self.step))
 
     def values(self, p: DressingParams, t, direction):
         """(omega_r, delta) at local ramp time t; direction is 'up' or 'down'."""
@@ -236,27 +242,6 @@ class HamiltonianTerms:
                         self.r_dist, isometries)
             for k in range(n + 1)]
 
-    def assemble(self, omega_r, delta, omega_c, c6):
-        """Full sparse 3^N Hamiltonian; the reference for the block path."""
-        n = self.n_atoms
-        dim = 3 ** n
-        digits = _digit_table(n)
-        inv_r6 = np.zeros(dim)
-        for i in range(n):
-            for j in range(i + 1, n):
-                both_r = (digits[:, i] == 2) & (digits[:, j] == 2)
-                inv_r6[both_r] += 1.0 / self.r_dist[i, j] ** 6
-
-        def hop(lo, hi):
-            rows = np.concatenate([np.nonzero(digits[:, i] == lo)[0] + (hi - lo) * 3 ** i
-                                   for i in range(n)])
-            cols = np.concatenate([np.nonzero(digits[:, i] == lo)[0] for i in range(n)])
-            m = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
-            return 0.5 * (m + m.T)
-
-        return (omega_r * hop(1, 2) + delta * sp.diags((digits == 2).sum(axis=1) * 1.0)
-                + c6 * sp.diags(inv_r6) + omega_c * hop(0, 1)).tocsr()
-
     def plateau_basis(self, omega_r, delta, c6):
         """Per-group (eigenvalues, real eigenvectors) of the clock-off blocks."""
         out = []
@@ -271,10 +256,11 @@ class HamiltonianTerms:
         Each step applies the fourth-order commutator-free Magnus scheme (two
         exponentials built from the drive values at the Gauss nodes), each
         exponential one batched ``eigh`` per block size.  The steps are folded
-        into the running product rather than stored.
+        into the running product rather than stored.  A zero-length ramp is
+        the identity.
         """
         n_steps = schedule.n_ramp_steps()
-        dt = schedule.ramp_duration / n_steps
+        dt = schedule.ramp_duration / max(n_steps, 1)
         us = [np.broadcast_to(np.eye(grp.n_r.size, dtype=complex),
                               grp.v_int.shape + grp.n_r.shape).copy()
               for grp in self.groups]  # one per orbit representative
@@ -306,20 +292,6 @@ class HamiltonianTerms:
             out[grp.idx] = _real_matmul(v, np.exp(-1j * w * duration)[..., None]
                                         * sub)[..., 0]
         return out
-
-    def propagate_clock_off(self, psi, omega_r, delta, c6, duration):
-        """Exact constant-Hamiltonian evolution with the clock drive off.
-
-        Diagonalizes each active-subset block (max dimension 2^N), so the cost
-        is independent of the duration -- this is what makes millisecond
-        plateaus tractable at N = 9.
-        """
-        return self.apply_plateau(psi, self.plateau_basis(omega_r, delta, c6),
-                                  duration)
-
-    def propagate_clock_off_ramp(self, psi, p, schedule, direction):
-        """Ramp evolution on the same active-subset blocks (``ramp_unitaries``)."""
-        return self.apply(psi, self.ramp_unitaries(p, schedule, direction))
 
 
 def clock_rotation(state: QuantumState, angle, phase=0.0) -> QuantumState:
@@ -403,18 +375,11 @@ def quadrature_variance_ratio(psi_q, n, alpha):
     return quadratic_form(_quadrature_covariance(psi_q, n) / n, alpha)
 
 
-@dataclass
-class EDResult:
-    contrast: float
-    xi_w_sq: float
-    alpha_opt: float
-    var_ratio_min: float
-    max_rydberg_population: float
-    variance_ratio: object = None
+@dataclass(frozen=True)
+class EDResult(SqueezingObservables):
+    """Squeezing observables plus the largest Rydberg population of the run."""
 
-    @property
-    def xi_db(self):
-        return 10.0 * np.log10(self.xi_w_sq)
+    max_rydberg_population: float
 
 
 _CF4_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
@@ -520,21 +485,9 @@ class DressingEngine:
                           "5%: adiabaticity violated", stacklevel=3)
         s = qubit_bloch_vector(psi_q, n)
         c = 2.0 * np.linalg.norm(s) / n
-
-        cov = _quadrature_covariance(psi_q, n) / n
-        alpha_opt, var_min = quadrature_minimum(cov)
-
-        def ratio(alpha):
-            return quadratic_form(cov, alpha)
-
-        return EDResult(
-            contrast=float(c),
-            xi_w_sq=float(var_min / c ** 2),
-            alpha_opt=float(alpha_opt),
-            var_ratio_min=float(var_min),
-            max_rydberg_population=float(max_ryd),
-            variance_ratio=ratio,
-        )
+        return EDResult.from_ratio_matrix(
+            c, _quadrature_covariance(psi_q, n) / n,
+            max_rydberg_population=float(max_ryd))
 
 
 def run_sequence(g: ArrayGeometry, p: DressingParams, seq: PulseSequence,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,46 +77,9 @@ def build_subarrays(rows, cols, spacing_x, spacing_y, n_subarrays=1, gap=12,
     return ArrayGeometry(tuple(sites), tuple(labels), lattice_constant)
 
 
-def pair_distances(g: ArrayGeometry):
-    """Euclidean distances in meters for all unordered site pairs (i < j)."""
-    pos = g.positions()
-    out = {}
-    for i in range(g.n_atoms):
-        d = np.hypot(pos[i + 1:, 0] - pos[i, 0], pos[i + 1:, 1] - pos[i, 1])
-        for k, j in enumerate(range(i + 1, g.n_atoms)):
-            out[(i, j)] = d[k]
-    return out
-
-
 def distance_matrix(g: ArrayGeometry):
     """Full symmetric distance matrix in meters (zero diagonal)."""
     pos = g.positions()
     diff = pos[:, None, :] - pos[None, :, :]
     return np.sqrt((diff ** 2).sum(axis=-1))
 
-
-def geometry_to_config(g: ArrayGeometry, rows=None, cols=None, spacing=None,
-                       n_subarrays=None, gap=None):
-    """Config dict for a geometry produced by :func:`build_subarrays`."""
-    return {
-        "lattice_constant_nm": g.lattice_constant * 1e9,
-        "rows": rows,
-        "cols": cols,
-        "spacing": list(spacing) if spacing is not None else None,
-        "n_subarrays": n_subarrays,
-        "gap": gap,
-    }
-
-
-def geometry_from_config(cfg):
-    """Build a geometry from the shared structured config section."""
-    required = ("lattice_constant_nm", "rows", "cols", "spacing", "n_subarrays", "gap")
-    for key in required:
-        if key not in cfg:
-            raise KeyError(f"geometry config missing key: {key}")
-    sx, sy = cfg["spacing"]
-    return build_subarrays(
-        cfg["rows"], cfg["cols"], sx, sy,
-        n_subarrays=cfg["n_subarrays"], gap=cfg["gap"],
-        lattice_constant=cfg["lattice_constant_nm"] * 1e-9,
-    )

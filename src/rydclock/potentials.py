@@ -7,7 +7,6 @@ up at formula boundaries.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +203,3 @@ def pair_oscillation_frequency(p: DressingParams, r):
 
     return dressed_pair_shift(p, r) / 2.0
 
-
-def write_fit_json(path, pot, cov, lattice_constant=DEFAULT_LATTICE_CONSTANT):
-    with open(path, "w") as fh:
-        json.dump(fit_report_json(pot, cov, lattice_constant), fh, indent=2)

@@ -8,7 +8,7 @@ experimental data can be ingested the same way.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class MeasurementRecord:
     mode: str = "quadrature"
     t_dark: float = 0.0
     cycle_time: float = 1.4
-    phase_offset_deg: float = 0.0
     interleaved_label: str = "css"
     theta_mode: str = "fixed"
 
@@ -64,7 +63,6 @@ class MeasurementRecord:
             p_a=self.p_a[idx], p_b=self.p_b[idx],
             n_a=self.n_a[idx], n_b=self.n_b[idx],
             mode=self.mode, t_dark=self.t_dark, cycle_time=self.cycle_time,
-            phase_offset_deg=self.phase_offset_deg,
             interleaved_label=self.interleaved_label, theta_mode=self.theta_mode,
         )
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry, distance_matrix
-from .potentials import SoftCorePotential, soft_core
+from .geometry import (DEFAULT_LATTICE_CONSTANT, ArrayGeometry, build_subarrays,
+                       distance_matrix)
+from .potentials import SoftCorePotential
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,30 @@ class InteractionPhases:
 
 @dataclass(frozen=True)
 class SqueezingObservables:
+    """Optimal-quadrature squeezing observables of one spin-echo run.
+
+    The variance ratio at quadrature angle alpha is the quadratic form of the
+    2x2 ``ratio_matrix`` (``quadratic_form``); ``var_ratio_min`` and
+    ``alpha_opt`` are its minimum and the angle there.
+    """
+
     contrast: float
     xi_w_sq: float
     alpha_opt: float
     var_ratio_min: float
-    variance_ratio: object = None  # callable alpha -> ratio
+    ratio_matrix: np.ndarray
+
+    @classmethod
+    def from_ratio_matrix(cls, c, m, **extra):
+        """Observables at the closed-form optimum of ``m`` for contrast ``c``."""
+        alpha_opt, var_min = quadrature_minimum(m)
+        return cls(contrast=float(c), xi_w_sq=float(var_min / c ** 2),
+                   alpha_opt=alpha_opt, var_ratio_min=var_min, ratio_matrix=m,
+                   **extra)
+
+    def variance_ratio(self, alpha):
+        """Var[d_z] / sigma_QPN^2 at quadrature angle alpha."""
+        return quadratic_form(self.ratio_matrix, alpha)
 
     @property
     def xi_db(self):
@@ -93,39 +113,53 @@ def couplings_from_potential(g: ArrayGeometry, v: SoftCorePotential) -> Coupling
 
 
 def _pair_coefficients(phi):
-    """Per-pair coefficients (a_ij, b_ij) with g2_ij(alpha) = a sin^2 + b sin cos."""
+    """Per-pair coefficients (a_ij, b_ij) with g2_ij(alpha) = a sin^2 + b sin cos.
+
+    a_ij = (P-_ij - P+_ij) / 8 and b_ij = sin(phi_ij) (Q_ij + Q_ji) / 4, with
+    P+-_ij = prod_k cos(phi_ki +- phi_kj) and Q_ij = prod_k cos(phi_ki) over
+    the spectators k != i, j (the closed-form Ising correlators of Foss-Feig
+    et al., PRA 87, 042101 (2013)).  The products run over k in ascending
+    order for all pairs at once, a factor of 1 standing in for k = i or
+    k = j, so each entry is the same sequential product as a per-pair
+    ``np.prod``.  One factor buffer is reused for every k, so the table costs
+    O(N^2) memory.  This one table serves g2, the ratio matrix and the
+    displacement map.
+    """
     n = phi.shape[0]
     cosphi = np.cos(phi)
-    a = np.zeros((n, n))
-    b = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            mask = np.ones(n, dtype=bool)
-            mask[i] = mask[j] = False
-            p_minus = 0.5 * np.prod(np.cos(phi[mask, i] - phi[mask, j]))
-            p_plus = 0.5 * np.prod(np.cos(phi[mask, i] + phi[mask, j]))
-            prod_i = np.prod(cosphi[mask, i])
-            prod_j = np.prod(cosphi[mask, j])
-            a[i, j] = a[j, i] = 0.25 * (p_minus - p_plus)
-            b[i, j] = b[j, i] = 0.25 * np.sin(phi[i, j]) * (prod_i + prod_j)
+    p_minus, p_plus, q = np.ones((3, n, n))
+    f = np.empty((n, n))  # the factor of one spectator k
+    for k in range(n):
+        row = phi[k]
+        for prod, op in ((p_minus, np.subtract), (p_plus, np.add), (q, None)):
+            if op is None:
+                f[:] = cosphi[k][:, None]
+            else:
+                np.cos(op.outer(row, row, out=f), out=f)
+            f[k, :] = f[:, k] = 1.0
+            prod *= f
+    a = 0.25 * (0.5 * p_minus - 0.5 * p_plus)
+    b = 0.25 * np.sin(phi) * (q + q.T)
+    # copy the i < j entries to j > i, so both halves hold the same bits
+    lower = np.tri(n, k=-1, dtype=bool)
+    for m in (a, b):
+        f[:] = m.T
+        np.copyto(m, f, where=lower)
+        np.fill_diagonal(m, 0.0)
     return a, b
+
+
+def _g2_table(phi, alpha):
+    a, b = _pair_coefficients(phi)
+    sin_a = np.sin(alpha)
+    return a * sin_a ** 2 + b * sin_a * np.cos(alpha)
 
 
 def g2_correlator(ph: InteractionPhases, alpha, i, j):
     """Connected two-particle correlator at quadrature angle alpha."""
     if i == j:
         raise ValueError("g2 requires two distinct sites")
-    phi = ph.phi
-    n = ph.n_atoms
-    mask = np.ones(n, dtype=bool)
-    mask[i] = mask[j] = False
-    p_minus = 0.5 * np.prod(np.cos(phi[mask, i] - phi[mask, j]))
-    p_plus = 0.5 * np.prod(np.cos(phi[mask, i] + phi[mask, j]))
-    prod_i = np.prod(np.cos(phi[mask, i]))
-    prod_j = np.prod(np.cos(phi[mask, j]))
-    sin_a, cos_a = np.sin(alpha), np.cos(alpha)
-    return (0.25 * (p_minus - p_plus) * sin_a ** 2
-            + 0.25 * sin_a * cos_a * np.sin(phi[i, j]) * (prod_i + prod_j))
+    return float(_g2_table(ph.phi, alpha)[i, j])
 
 
 def contrast(ph: InteractionPhases):
@@ -136,16 +170,8 @@ def contrast(ph: InteractionPhases):
     return float(np.mean(np.prod(cosphi, axis=1)))
 
 
-def mean_sigma_z(ph: InteractionPhases, alpha):
-    """Per-spin <sigma_z> after the quadrature rotation (zero for pure Ising echo)."""
-    return np.zeros(ph.n_atoms)
-
-
-def variance_ratio(ph: InteractionPhases, alpha, n_per_ensemble=None):
+def variance_ratio(ph: InteractionPhases, alpha):
     """Var[d_z] / sigma_QPN^2 for two identical independent ensembles."""
-    n = ph.n_atoms
-    if n_per_ensemble is not None and n_per_ensemble != n:
-        raise ValueError("n_per_ensemble must match the phase matrix size")
     return quadratic_form(_ratio_matrix(ph.phi), alpha)
 
 
@@ -179,32 +205,16 @@ def quadrature_minimum(m):
     return float(alpha), float(0.5 * (p + r) - np.hypot(0.5 * (p - r), q))
 
 
-def minimize_variance(ph: InteractionPhases):
-    """Optimal quadrature in closed form: (alpha_opt, var_min, ratio callable).
+def wineland(ph: InteractionPhases) -> SqueezingObservables:
+    """Wineland parameter at the closed-form optimal quadrature.
 
     With A = sum a_ij and B = sum b_ij, var_min = 1 + (2/n)(A - sqrt(A^2 +
     B^2)) at alpha_opt = atan2(-B, A) / 2 mod pi.
     """
-    r = _ratio_matrix(ph.phi)
-    alpha_opt, var_min = quadrature_minimum(r)
-    return alpha_opt, var_min, lambda alpha: quadratic_form(r, alpha)
-
-
-def wineland(ph: InteractionPhases, n=None) -> SqueezingObservables:
-    """Wineland parameter from the alpha-optimized variance and the contrast."""
-    if n is not None and n != ph.n_atoms:
-        raise ValueError("n must match the phase matrix size")
     if ph.n_atoms < 2:
         raise ValueError("need at least two atoms")
-    alpha_opt, var_min, ratio = minimize_variance(ph)
-    c = contrast(ph)
-    return SqueezingObservables(
-        contrast=c,
-        xi_w_sq=var_min / c ** 2,
-        alpha_opt=alpha_opt,
-        var_ratio_min=var_min,
-        variance_ratio=ratio,
-    )
+    return SqueezingObservables.from_ratio_matrix(contrast(ph),
+                                                  _ratio_matrix(ph.phi))
 
 
 def phases_for_geometry(g: ArrayGeometry, v: SoftCorePotential, t_int,
@@ -217,6 +227,30 @@ def phases_for_geometry(g: ArrayGeometry, v: SoftCorePotential, t_int,
     return InteractionPhases(phi=np.pi * c.v[np.ix_(idx, idx)] * t_int, t_int=t_int)
 
 
+def _best_over_t_int(sizes, t_grid, observer):
+    """One scan row per (rows, cols): the t_int in ``t_grid`` with the least xi^2.
+
+    ``observer(rows, cols)`` returns that size's ``t_int -> observables``
+    callable (``SqueezingObservables`` or ``EDResult``); the first t_int wins
+    ties.  ED rows also carry ``max_rydberg_pop``.
+    """
+    if len(sizes) == 0 or len(t_grid) == 0:
+        raise ValueError("sizes and t_grid must be nonempty")
+    out = []
+    for rows, cols in sizes:
+        observe = observer(rows, cols)
+        t_opt, obs = min(((t_int, observe(t_int)) for t_int in t_grid),
+                         key=lambda pair: pair[1].xi_w_sq)
+        row = {"n": rows * cols, "rows": rows, "cols": cols, "t_int_opt": t_opt,
+               "alpha_opt": obs.alpha_opt, "contrast": obs.contrast,
+               "var_ratio_min": obs.var_ratio_min, "xi_w_sq": obs.xi_w_sq,
+               "xi_db": obs.xi_db}
+        if hasattr(obs, "max_rydberg_population"):
+            row["max_rydberg_pop"] = obs.max_rydberg_population
+        out.append(row)
+    return out
+
+
 def scan_xi_vs_n(sizes, v: SoftCorePotential, t_grid, spacing=(2, 2),
                  lattice_constant=None):
     """Optimal Wineland parameter vs atom number for square/rect subarrays.
@@ -224,49 +258,27 @@ def scan_xi_vs_n(sizes, v: SoftCorePotential, t_grid, spacing=(2, 2),
     ``sizes`` is a list of (rows, cols); each geometry is scanned over
     ``t_grid`` and the quadrature angle.  Returns a list of result dicts.
     """
-    from .geometry import build_subarrays, DEFAULT_LATTICE_CONSTANT
-
-    if len(sizes) == 0 or len(t_grid) == 0:
-        raise ValueError("sizes and t_grid must be nonempty")
     a_lat = lattice_constant or DEFAULT_LATTICE_CONSTANT
-    rows_out = []
-    for rows, cols in sizes:
+
+    def observer(rows, cols):
         g = build_subarrays(rows, cols, spacing[0], spacing[1], 1,
                             lattice_constant=a_lat)
-        best = None
-        for t_int in t_grid:
-            if t_int == 0:
-                obs = SqueezingObservables(contrast=1.0, xi_w_sq=1.0,
-                                           alpha_opt=0.0, var_ratio_min=1.0)
-            else:
-                ph = phases_for_geometry(g, v, t_int)
-                obs = wineland(ph)
-            if best is None or obs.xi_w_sq < best[1].xi_w_sq:
-                best = (t_int, obs)
-        t_opt, obs = best
-        rows_out.append({
-            "n": g.n_atoms,
-            "rows": rows,
-            "cols": cols,
-            "t_int_opt": t_opt,
-            "alpha_opt": obs.alpha_opt,
-            "contrast": obs.contrast,
-            "var_ratio_min": obs.var_ratio_min,
-            "xi_w_sq": obs.xi_w_sq,
-            "xi_db": obs.xi_db,
-        })
-    return rows_out
+        return lambda t_int: wineland(phases_for_geometry(g, v, t_int))
+
+    return _best_over_t_int(sizes, t_grid, observer)
 
 
 def write_scan_csv(path, scan_rows):
+    """Scan rows as CSV; ED rows add a ``max_rydberg_pop`` column."""
+    extra = ["max_rydberg_pop"] if "max_rydberg_pop" in scan_rows[0] else []
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["N", "t_int_us", "alpha_opt_deg", "contrast",
-                    "var_ratio_min", "xi_db"])
+                    "var_ratio_min", "xi_db", *extra])
         for r in scan_rows:
             w.writerow([r["n"], r["t_int_opt"] * 1e6,
                         np.degrees(r["alpha_opt"]), r["contrast"],
-                        r["var_ratio_min"], r["xi_db"]])
+                        r["var_ratio_min"], r["xi_db"], *(r[k] for k in extra)])
 
 
 def g2_map_by_displacement(g: ArrayGeometry, ph: InteractionPhases, alpha,
@@ -277,23 +289,12 @@ def g2_map_by_displacement(g: ArrayGeometry, ph: InteractionPhases, alpha,
     idx = list(g.subarray_indices(subarray))
     if len(idx) != ph.n_atoms:
         raise ValueError("phase matrix does not match the subarray size")
-    sites = [g.sites[i] for i in idx]
-    sums, counts = {}, {}
-    for a_loc in range(len(idx)):
-        for b_loc in range(len(idx)):
-            if a_loc == b_loc:
-                continue
-            rx = sites[b_loc][0] - sites[a_loc][0]
-            ry = sites[b_loc][1] - sites[a_loc][1]
-            val = g2_correlator(ph, alpha, a_loc, b_loc)
-            sums[(rx, ry)] = sums.get((rx, ry), 0.0) + val
-            counts[(rx, ry)] = counts.get((rx, ry), 0) + 1
-    return {k: sums[k] / counts[k] for k in sums}
-
-
-def write_g2_csv(path, g2_map):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rx", "ry", "g2"])
-        for (rx, ry), val in sorted(g2_map.items()):
-            w.writerow([rx, ry, val])
+    sites = np.array([g.sites[i] for i in idx])
+    pair = ~np.eye(len(idx), dtype=bool)
+    # displacement of site b from site a, over the ordered pairs a != b
+    keys, inverse = np.unique((sites[None, :] - sites[:, None])[pair], axis=0,
+                              return_inverse=True)
+    sums = np.bincount(inverse, weights=_g2_table(ph.phi, alpha)[pair])
+    counts = np.bincount(inverse)
+    return {(int(rx), int(ry)): s / c
+            for (rx, ry), s, c in zip(keys, sums, counts)}

@@ -6,6 +6,8 @@ expressions from the literature, naive O(M^2) Allan sums, and a plain
 binomial likelihood built on scipy.stats.
 """
 
+from itertools import combinations
+
 import numpy as np
 from scipy.stats import binom
 
@@ -32,6 +34,47 @@ def _pauli(psi, n, site, axis):
         out[:, 0, :] = psi2[:, 1, :]
         out[:, 1, :] = psi2[:, 0, :]
     return out.reshape(-1)
+
+
+def three_level_hamiltonian(r_dist, omega_r, delta, omega_c, c6):
+    """Dense 3^N H3 / hbar, the reference for the block-diagonal ED engine.
+
+    Digit i of basis index k, (k // 3**i) % 3, is site i's level (0 = g,
+    1 = e, 2 = r).  The drives couple g-e (omega_c) and e-r (omega_r) with
+    the 1/2 prefactor; each |r> adds delta, each |r>|r> pair c6 / r^6.
+    """
+    n = len(r_dist)
+    h = np.zeros((3 ** n, 3 ** n))
+    for k in range(3 ** n):
+        levels = [(k // 3 ** i) % 3 for i in range(n)]
+        ryd = [i for i in range(n) if levels[i] == 2]
+        h[k, k] = delta * len(ryd) + c6 * sum(
+            1.0 / r_dist[i, j] ** 6 for i, j in combinations(ryd, 2))
+        for i, level in enumerate(levels):
+            if level < 2:  # raise site i by one level
+                h[k, k + 3 ** i] = h[k + 3 ** i, k] = 0.5 * (
+                    omega_c if level == 0 else omega_r)
+    return h
+
+
+def pair_coefficients_loop(phi):
+    """Per-pair (a_ij, b_ij), g2_ij(alpha) = a sin^2 + b sin cos, one pair at a time.
+
+    Each spectator product is one ``np.prod`` over the sites k != i, j in
+    ascending order; the package's table must match these bits.
+    """
+    n = phi.shape[0]
+    a = np.zeros((n, n))
+    b = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = [s for s in range(n) if s not in (i, j)]
+            p_minus = 0.5 * np.prod(np.cos(phi[k, i] - phi[k, j]))
+            p_plus = 0.5 * np.prod(np.cos(phi[k, i] + phi[k, j]))
+            a[i, j] = a[j, i] = 0.25 * (p_minus - p_plus)
+            b[i, j] = b[j, i] = 0.25 * np.sin(phi[i, j]) * (
+                np.prod(np.cos(phi[k, i])) + np.prod(np.cos(phi[k, j])))
+    return a, b
 
 
 class SpinEchoOracle:

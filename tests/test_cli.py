@@ -142,6 +142,40 @@ def test_simulate_clock_outputs_and_replay(tmp_path):
     assert (out / "adev.csv").read_bytes() == adev
 
 
+def _replay_manifest(tmp_path, edit):
+    """A simulate-clock manifest, edited by ``edit`` and written back."""
+    out = tmp_path / "out"
+    assert run("simulate-clock", "--config", _clock_config(tmp_path),
+               "--out-dir", str(out)) == 0
+    path = out / "simulate-clock.manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    (out / "record.csv").unlink()
+    return str(path), out
+
+
+def test_edited_manifest_params_are_refused(tmp_path):
+    path, out = _replay_manifest(
+        tmp_path, lambda m: m["params"].update(n_shots=65))
+    assert run("--from-manifest", path) == 2
+    assert not (out / "record.csv").exists()
+
+
+def test_manifest_without_hash_is_refused(tmp_path):
+    path, out = _replay_manifest(tmp_path, lambda m: m.pop("config_sha256"))
+    assert run("--from-manifest", path) == 2
+    assert not (out / "record.csv").exists()
+
+
+def test_manifest_version_skew_warns_and_replays(tmp_path):
+    path, out = _replay_manifest(
+        tmp_path, lambda m: m["versions"].update(rydclock="0.0.0"))
+    with pytest.warns(UserWarning, match="0.0.0"):
+        assert run("--from-manifest", path) == 0
+    assert (out / "record.csv").exists()
+
+
 def test_simulate_clock_seed_changes_output(tmp_path):
     out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))
     cfg = _clock_config(tmp_path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oracles import three_level_hamiltonian
 from rydclock.exact_diag import (AtomNumberError, ClockPulse, DressingPulse,
                                  HamiltonianTerms, PulseSequence, QuantumState,
                                  RampSchedule, _cf4_values, clock_rotation,
@@ -73,9 +74,10 @@ def _random_state(n, seed):
 def test_block_propagation_matches_dense_exponential():
     terms = HamiltonianTerms(TRIO)
     psi0 = _random_state(3, 2)
-    out = terms.propagate_clock_off(psi0.amplitudes, PAPER.omega_r,
-                                    PAPER.delta, PAPER.c6, 1.7e-6)
-    h = terms.assemble(PAPER.omega_r, PAPER.delta, 0.0, PAPER.c6).toarray()
+    out = terms.apply_plateau(psi0.amplitudes, terms.plateau_basis(
+        PAPER.omega_r, PAPER.delta, PAPER.c6), 1.7e-6)
+    h = three_level_hamiltonian(terms.r_dist, PAPER.omega_r, PAPER.delta, 0.0,
+                                PAPER.c6)
     ref = expm(-1j * 1.7e-6 * h) @ psi0.amplitudes
     assert np.allclose(out, ref, atol=1e-9)
 
@@ -87,12 +89,13 @@ def test_block_ramp_matches_dense_ramp():
     for g in (PAIR, build_subarrays(2, 2, 2, 2, 1)):
         terms = HamiltonianTerms(g)
         psi0 = clock_rotation(QuantumState.ground(g.n_atoms), np.pi / 2).amplitudes
-        blocked = terms.propagate_clock_off_ramp(psi0, PAPER, sched, "up")
+        blocked = terms.apply(psi0, terms.ramp_unitaries(PAPER, sched, "up"))
         # dense reference: the same commutator-free steps on the full 3^N matrix
         ref = psi0.copy()
         for s in range(n_steps):
             for omega_r, delta in _cf4_values(PAPER, sched, "up", s, dt):
-                h = terms.assemble(omega_r, delta, 0.0, PAPER.c6).toarray()
+                h = three_level_hamiltonian(terms.r_dist, omega_r, delta, 0.0,
+                                            PAPER.c6)
                 ref = expm(-0.5j * dt * h) @ ref
         assert np.allclose(blocked, ref, atol=1e-9)
 
@@ -142,17 +145,24 @@ def test_ed_scan_row_is_best_of_independent_runs(tmp_path):
 def test_exchange_symmetry_preserved():
     terms = HamiltonianTerms(PAIR)
     psi = clock_rotation(QuantumState.ground(2), np.pi / 2).amplitudes
-    out = terms.propagate_clock_off(psi, PAPER.omega_r, PAPER.delta, PAPER.c6,
-                                    3e-6)
+    out = terms.apply_plateau(psi, terms.plateau_basis(
+        PAPER.omega_r, PAPER.delta, PAPER.c6), 3e-6)
     swapped = out.reshape(3, 3).T.reshape(-1)
     assert np.allclose(out, swapped, atol=1e-9)
 
 
 def test_assemble_hermitian_and_schedule_endpoints():
-    h = HamiltonianTerms(PAIR).assemble(PAPER.omega_r, PAPER.delta,
-                                        0.3 * PAPER.omega_r, PAPER.c6)
-    d = h.toarray()
+    terms = HamiltonianTerms(build_subarrays(2, 2, 2, 2, 1))
+    d = three_level_hamiltonian(terms.r_dist, PAPER.omega_r, PAPER.delta,
+                                0.3 * PAPER.omega_r, PAPER.c6)
     assert np.allclose(d, d.conj().T)
+    # with the clock drive off, every stacked block is a diagonal block of H3
+    d = three_level_hamiltonian(terms.r_dist, PAPER.omega_r, PAPER.delta, 0.0,
+                                PAPER.c6)
+    for grp in terms.groups:
+        h = grp.hamiltonians(PAPER.omega_r, PAPER.delta, PAPER.c6)[grp.rep_of]
+        for block, idx in zip(h, grp.idx):
+            assert np.allclose(block, d[np.ix_(idx, idx)], rtol=1e-12, atol=0.0)
     sched = RampSchedule()
     om0, de0 = sched.values(PAPER, 0.0, "up")
     assert om0 == 0.0 and de0 == pytest.approx(3.0 * PAPER.delta)
@@ -221,3 +231,25 @@ def test_weak_dressing_limit_matches_analytics():
     obs = wineland(ph)
     assert res.contrast == pytest.approx(obs.contrast, rel=0.02)
     assert res.xi_w_sq == pytest.approx(obs.xi_w_sq, rel=0.05)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"ramp_duration": -1e-9},
+    {"step": 0.0},
+    {"step": -1e-9},
+    {"step": 1.0},  # longer than the 225 ns ramp
+])
+def test_ramp_schedule_rejects_invalid_fields(kwargs):
+    with pytest.raises(ValueError):
+        RampSchedule(**kwargs)
+
+
+def test_zero_length_ramp_is_identity():
+    sched = RampSchedule(ramp_duration=0.0)  # default step stays valid
+    assert sched.n_ramp_steps() == 0
+    terms = HamiltonianTerms(PAIR)
+    for grp, u in zip(terms.groups, terms.ramp_unitaries(PAPER, sched, "up")):
+        assert np.array_equal(u, np.broadcast_to(np.eye(grp.n_r.size), u.shape))
+    psi = clock_rotation(QuantumState.ground(2), np.pi / 2).amplitudes
+    assert np.array_equal(
+        terms.apply(psi, terms.ramp_unitaries(PAPER, sched, "up")), psi)

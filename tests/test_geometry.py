@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rydclock.geometry import (ArrayGeometry, build_subarrays, distance_matrix,
-                               geometry_from_config, geometry_to_config,
-                               pair_distances, DEFAULT_LATTICE_CONSTANT)
+                               DEFAULT_LATTICE_CONSTANT)
 
 
 def test_single_block_shape_and_labels():
@@ -23,10 +22,8 @@ def test_two_subarrays_disjoint_and_gap():
 
 def test_distances_match_lattice_constant():
     g = build_subarrays(1, 2, 2, 1, 1)
-    d = pair_distances(g)
-    assert d[(0, 1)] == pytest.approx(2 * DEFAULT_LATTICE_CONSTANT)
     m = distance_matrix(g)
-    assert m[0, 1] == pytest.approx(d[(0, 1)])
+    assert m[0, 1] == pytest.approx(2 * DEFAULT_LATTICE_CONSTANT)
     assert m[0, 0] == 0.0
 
 
@@ -41,12 +38,3 @@ def test_invalid_build_args_rejected():
     with pytest.raises(ValueError):
         build_subarrays(2, 2, 0, 2)
 
-
-def test_config_round_trip():
-    cfg = {"lattice_constant_nm": 575.0, "rows": 3, "cols": 2,
-           "spacing": [2, 2], "n_subarrays": 2, "gap": 10}
-    g = geometry_from_config(cfg)
-    assert g.n_atoms == 12
-    back = geometry_to_config(g, rows=3, cols=2, spacing=(2, 2),
-                              n_subarrays=2, gap=10)
-    assert geometry_from_config(back).sites == g.sites

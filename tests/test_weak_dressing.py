@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import SpinEchoOracle, ku_contrast, ku_variance_ratio_min
-from rydclock.geometry import build_subarrays, DEFAULT_LATTICE_CONSTANT
+from oracles import (SpinEchoOracle, ku_contrast, ku_variance_ratio_min,
+                     pair_coefficients_loop)
+from rydclock.geometry import (ArrayGeometry, build_subarrays,
+                               DEFAULT_LATTICE_CONSTANT)
 from rydclock.potentials import SoftCorePotential
 from rydclock.weak_dressing import (CouplingMatrix, InteractionPhases,
-                                    contrast, couplings_from_potential,
-                                    g2_correlator, g2_map_by_displacement,
-                                    mean_sigma_z, minimize_variance,
-                                    phases_for_geometry, scan_xi_vs_n,
-                                    variance_ratio, wineland, write_scan_csv)
+                                    _pair_coefficients, contrast,
+                                    couplings_from_potential, g2_correlator,
+                                    g2_map_by_displacement, phases_for_geometry,
+                                    scan_xi_vs_n, variance_ratio, wineland,
+                                    write_scan_csv)
 
 A_LAT = DEFAULT_LATTICE_CONSTANT
 
@@ -84,11 +86,32 @@ def test_against_state_vector_oracle():
         assert contrast(ph) == pytest.approx(oracle.contrast(), abs=1e-12)
         assert variance_ratio(ph, alpha) == pytest.approx(
             oracle.variance_ratio(alpha), abs=1e-10)
-        i, j = sorted(rng.choice(n, size=2, replace=False))
-        assert g2_correlator(ph, alpha, int(i), int(j)) == pytest.approx(
-            oracle.g2(int(i), int(j), alpha), abs=1e-12)
-        assert mean_sigma_z(ph, alpha) == pytest.approx(
-            [oracle.mean_sigma(k, 0.0) for k in range(n)], abs=1e-12)
+        g2 = {(i, j): oracle.g2(i, j, alpha)
+              for i in range(n) for j in range(n) if i != j}
+        for (i, j), ref in g2.items():
+            assert g2_correlator(ph, alpha, i, j) == pytest.approx(ref, abs=1e-12)
+        # random distinct sites on a 4x4 grid, so several pairs share a displacement
+        cells = rng.choice(16, size=n, replace=False)
+        g = ArrayGeometry(tuple((int(c % 4), int(c // 4)) for c in cells),
+                          ("A",) * n)
+        by_disp = {}
+        for (i, j), ref in g2.items():
+            key = (g.sites[j][0] - g.sites[i][0], g.sites[j][1] - g.sites[i][1])
+            by_disp.setdefault(key, []).append(ref)
+        gmap = g2_map_by_displacement(g, ph, alpha)
+        assert set(gmap) == set(by_disp)
+        for key, refs in by_disp.items():
+            assert gmap[key] == pytest.approx(np.mean(refs), abs=1e-12)
+
+
+def test_pair_table_bit_identical_to_per_pair_loop():
+    v = SoftCorePotential(v0=46.4e3, r_b=4.9 * A_LAT)
+    cases = [random_phases(n, n, scale=1.5).phi for n in (2, 3, 4, 7, 16, 31)]
+    cases += [np.zeros((5, 5)),
+              phases_for_geometry(build_subarrays(4, 5, 2, 2, 1), v, 3e-6).phi]
+    for phi in cases:
+        for got, ref in zip(_pair_coefficients(phi), pair_coefficients_loop(phi)):
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_longitudinal_fields_cancelled_by_echo():
@@ -158,10 +181,9 @@ def test_all_to_all_matches_ku_closed_form():
 
 
 def test_minimize_variance_returns_grid_refined_minimum():
-    ph = random_phases(6, 3)
-    alpha_opt, var_min, ratio = minimize_variance(ph)
+    obs = wineland(random_phases(6, 3))
     grid = np.linspace(0.0, np.pi, 2001)
-    assert var_min <= min(ratio(a) for a in grid) + 1e-10
+    assert obs.var_ratio_min <= min(obs.variance_ratio(a) for a in grid) + 1e-10
 
 
 def test_scan_monotone_improvement():
