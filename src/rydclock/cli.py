@@ -291,6 +291,7 @@ def cmd_ellipse_fit(params, out_dir):
             "zeta0": result.calibration.zeta0,
             "zeta1": result.calibration.zeta1,
         },
+        "bootstrap_flags": result.bootstrap_flags,
     })
     adev_path = os.path.join(out_dir, "ellipse_adev.csv")
     result.adev.to_csv(adev_path)

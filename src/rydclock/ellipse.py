@@ -10,12 +10,12 @@ pseudo-values for Allan-deviation analysis.
 
 from __future__ import annotations
 
-import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import LinearConstraint, minimize
 from scipy.special import gammaln
 
 from .records import MeasurementRecord
@@ -140,6 +140,54 @@ def _model_rows(m: EllipseModel, angles):
                           1.0 / m.zeta_sq(angles))
 
 
+def _row_derivatives(m: EllipseModel, angles, second=False):
+    """One ensemble's rows f = exp(l) and the exact derivatives of l.
+
+    Row l_k = s b_k(p) - log sum_k exp(s b_k(p)), with b_k the binomial log
+    pmf, has dl/ds = b_k - E_f[b] = (l_k - E_f[l]) / s and
+    dl/dp = s (b'_k - E_f[b']) = s (k - E_f[k]) / (p (1 - p)), because
+    b'_k = k/p - (n-k)/(1-p) is affine in k.  Both are chained through
+    p = y0 + (c/2) cos a and s = 1/zeta^2(a) at the ensemble angle a.
+
+    Returns f and a dict of dl/dx for x in contrast, y0, zeta0, zeta1 and
+    ``angle`` (a itself); with ``second`` also d2l/da2, which is
+    x''_k - E_f[x''] - E_f[(dl/da)^2] for x_k = s b_k.  Rows at p = 0 or 1
+    are point masses and carry zero derivatives.
+    """
+    n, c = m.n_atoms, m.contrast
+    cos, sin = np.cos(angles), np.sin(angles)
+    p = c / 2.0 * cos + m.y0
+    s = 1.0 / m.zeta_sq(angles)
+    ell = _tempered_rows(n, p, s)
+    f = np.exp(ell)
+    k = np.arange(n + 1.0)
+    u = ell - np.sum(f * ell, axis=1, keepdims=True)  # s (b_k - E_f[b])
+    dk = k - (f @ k)[:, None]  # k - E_f[k]
+    edge = (p <= 0.0) | (p >= 1.0)
+    u[edge] = dk[edge] = 0.0  # every derivative below is linear in u and dk
+    pc = np.where(edge, 0.5, p)
+    pq = pc * (1.0 - pc)
+    zz = m.zeta0 ** 2 - m.zeta1 ** 2
+    s_a = -s * s * zz * np.sin(2.0 * angles)  # ds/da
+    p_a = -c / 2.0 * sin
+
+    def col(v):
+        return v[:, None]
+
+    d = {"contrast": col(s * cos / (2.0 * pq)) * dk,
+         "y0": col(s / pq) * dk,
+         "zeta0": col(-2.0 * m.zeta0 * s * sin ** 2) * u,
+         "zeta1": col(-2.0 * m.zeta1 * s * cos ** 2) * u,
+         "angle": col(s_a / s) * u + col(s * p_a / pq) * dk}
+    if not second:
+        return f, d, None
+    s_aa = 2.0 * s_a * s_a / s - 2.0 * s * s * zz * np.cos(2.0 * angles)
+    b2 = 1.0 / (1.0 - pc) ** 2 - 1.0 / pc ** 2  # b''_k - E_f[b''] = b2 (k - E_f[k])
+    d2 = (col(s_aa / s) * u
+          + col((2.0 * s_a * p_a - s * c / 2.0 * cos) / pq + s * p_a ** 2 * b2) * dk)
+    return f, d, d2 - np.sum(f * d["angle"] ** 2, axis=1, keepdims=True)
+
+
 def pmf_theta(m: EllipseModel, theta):
     """Joint mass function over (k_A, k_B) at fixed atom-laser phase theta."""
     f_a, f_b = np.exp(_model_rows(m, np.array([theta, theta + m.phi])))
@@ -157,12 +205,40 @@ def pmf_marginal(m: EllipseModel, n_theta=720, check=False):
     return out
 
 
+def _nodes(n_theta):
+    return 2.0 * np.pi * np.arange(n_theta) / n_theta
+
+
 def _marginal(m, n_theta):
     """L[k_A, k_B] = (1/T) sum_theta f_A(theta, k_A) f_B(theta + phi, k_B)."""
-    angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    angles = _nodes(n_theta)
     fa = np.exp(_model_rows(m, angles))
     fb = np.exp(_model_rows(m, angles + m.phi))
-    return np.einsum("ti,tj->ij", fa, fb) / n_theta
+    return fa.T @ fb / n_theta
+
+
+def _marginal_gradient(m, n_theta):
+    """L and its exact derivative tables dL/dx for every x in _PARAM_NAMES.
+
+    dL/dx = (1/T) [(f_A dl_A/dx)^T f_B + f_A^T (f_B dl_B/dx)]; phi moves
+    only ensemble B's angle.
+    """
+    angles = _nodes(n_theta)
+    fa, da, _ = _row_derivatives(m, angles)
+    fb, db, _ = _row_derivatives(m, angles + m.phi)
+    grads = {"phi": fa.T @ (fb * db["angle"])}
+    for name in _PARAM_NAMES[1:]:
+        grads[name] = (fa * da[name]).T @ fb + fa.T @ (fb * db[name])
+    return fa.T @ fb / n_theta, {x: g / n_theta for x, g in grads.items()}
+
+
+def _phi_tables(fa, m, angles):
+    """L, dL/dphi and d2L/dphi2 at m.phi, given ensemble A's rows ``fa``."""
+    fb, db, d2b = _row_derivatives(m, angles + m.phi, second=True)
+    la = db["angle"]
+    n_theta = len(angles)
+    return (fa.T @ fb / n_theta, fa.T @ (fb * la) / n_theta,
+            fa.T @ (fb * (d2b + la * la)) / n_theta)
 
 
 def _log_marginal(m, n_theta):
@@ -202,9 +278,22 @@ _BOUNDS = {
 }
 
 
+def _fringe_constraint(free, init):
+    """y0 - c/2 >= 0 and 1 - y0 - c/2 >= 0 (P_A, P_B in [0, 1]) on ``free``."""
+    coef = {"y0": np.array([1.0, -1.0]), "contrast": np.array([-0.5, -0.5])}
+    rows = np.array([coef.get(name, np.zeros(2)) for name in free]).T
+    const = np.array([0.0, 1.0]) + sum(coef[name] * getattr(init, name)
+                                       for name in coef if name not in free)
+    return LinearConstraint(rows, -const, np.inf)
+
+
 def fit_mle(data: MeasurementRecord, init: EllipseModel,
-            free=_PARAM_NAMES, n_theta=360, n_starts=5, seed=0) -> LikelihoodResult:
-    """Maximize the likelihood over the free parameters by multi-start simplex."""
+            free=_PARAM_NAMES, n_theta=360) -> LikelihoodResult:
+    """Maximize the likelihood over the free parameters with exact gradients.
+
+    One SLSQP run from ``init`` inside ``_BOUNDS``, with the fringe kept in
+    [0, 1] by a linear constraint whenever contrast or y0 is free.
+    """
     free = tuple(free)
     for name in free:
         if name not in _PARAM_NAMES:
@@ -213,98 +302,92 @@ def fit_mle(data: MeasurementRecord, init: EllipseModel,
     if data.n_shots < 2:
         flags.append("degenerate: too few shots for a meaningful fit")
     counts = _pair_counts(data, init.n_atoms)
+    occupied = counts > 0
+    n_k = counts[occupied]
+    # SLSQP starts from an identity Hessian, so it sees the mean log likelihood
+    # per shot; on the plain sum its first step is out of scale
+    n = max(data.n_shots, 1)
 
     def objective(x):
-        params = dict(zip(free, x))
-        for name in free:
-            b = _BOUNDS[name]
-            if not b[0] <= params[name] <= b[1]:
-                return 1e12
-        try:
-            model = init.replace(**params)
-        except ValueError:
-            return 1e12
-        total = _cell_sum(counts, _log_marginal(model, n_theta))
-        return -total if np.isfinite(total) else 1e12
+        table, grads = _marginal_gradient(init.replace(**dict(zip(free, x))),
+                                          n_theta)
+        cell = table[occupied]
+        # a trial point where a counted cell underflows is worth +inf; SLSQP's
+        # line search then shortens the step
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            weight = n_k / cell
+            grad = np.array([weight @ grads[name][occupied] for name in free])
+            return -(n_k @ np.log(cell)) / n, -grad / n
 
-    x0 = np.array([getattr(init, name) for name in free])
-    rng = np.random.default_rng(seed)
-    best = None
-    for s in range(n_starts):
-        start = x0 if s == 0 else x0 * (1.0 + 0.05 * rng.standard_normal(len(free)))
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-9, "maxiter": 4000})
-        if best is None or res.fun < best.fun:
-            best = res
-    params = dict(zip(free, best.x))
-    if "phi" in params:
-        params["phi"] = float(np.clip(params["phi"], 0.0, np.pi))
-    c = params.get("contrast", init.contrast)
-    if "y0" in params or "contrast" in params:
-        params["y0"] = float(np.clip(params.get("y0", init.y0),
-                                     c / 2.0, 1.0 - c / 2.0))
+    bounds = [_BOUNDS[name] for name in free]
+    constraints = (_fringe_constraint(free, init)
+                   if {"contrast", "y0"} & set(free) else ())
+    res = minimize(objective, [getattr(init, name) for name in free], jac=True,
+                   method="SLSQP", bounds=bounds, constraints=constraints,
+                   options={"ftol": 1e-14, "maxiter": 200})
+    # SLSQP evaluates at x clipped to the bounds but may return x an ulp outside
+    x = np.clip(res.x, *np.array(bounds).T)
+    params = {name: float(v) for name, v in zip(free, x)}
     model = init.replace(**params)
-    if not best.success:
-        flags.append(f"not converged: {best.message}")
+    if not res.success:
+        flags.append(f"not converged: {res.message}")
     for name in free:
         b = _BOUNDS[name]
         if abs(params[name] - b[0]) < 1e-6 or abs(params[name] - b[1]) < 1e-6:
             flags.append(f"boundary-pinned: {name}")
     return LikelihoodResult(phi_hat=float(model.phi), model=model,
-                            log_likelihood=-float(best.fun), flags=flags)
+                            log_likelihood=-float(res.fun) * n, flags=flags)
 
 
 def estimate_phi(record: MeasurementRecord, secondary: EllipseModel,
                  n_theta=360, coarse=61, return_jackknife=False):
     """argmax over phi in [0, pi] with the secondary parameters held fixed.
 
-    Every step works on the record's (k_A, k_B) counts and the log of the
-    theta-marginal table at trial phases.  The maximum is located on a
-    coarse grid, polished with a bounded scalar search, then Newton-polished
-    on the central-difference score.  With ``return_jackknife`` the per-shot
-    score is the score table read at the shot's cell, and the leave-one-out
-    estimates are one-step Newton updates with the pooled curvature; that
-    construction makes the pseudo-value mean coincide with the full-sample
-    estimate up to the optimizer tolerance, and agrees with full refits to
-    O(1/n).
+    Every step works on the record's (k_A, k_B) counts and the theta-marginal
+    table; ensemble A's rows do not depend on phi and are built once.  The
+    maximum is located on a coarse grid, then found by Newton's method on the
+    exact score sum counts L'/L and curvature sum counts (L''/L - (L'/L)^2),
+    bisecting whenever a step leaves the grid bracket or the curvature is not
+    negative.  With ``return_jackknife`` the per-shot score is the score table
+    read at the shot's cell, and the leave-one-out estimates are one-step
+    Newton updates with the pooled curvature; that construction makes the
+    pseudo-value mean coincide with the full-sample estimate up to the Newton
+    tolerance, and agrees with full refits to O(1/n).
     """
-    from scipy.optimize import minimize_scalar
-
     counts = _pair_counts(record, secondary.n_atoms)
-
-    def log_table(phi):
-        return _log_marginal(secondary.replace(phi=phi), n_theta)
+    occupied = counts > 0
+    n_k = counts[occupied]
+    angles = _nodes(n_theta)
+    fa = np.exp(_model_rows(secondary, angles))
 
     def total(phi):
-        return _cell_sum(counts, log_table(phi))
+        fb = np.exp(_model_rows(secondary, angles + phi))
+        with np.errstate(divide="ignore"):
+            return n_k @ np.log((fa.T @ fb)[occupied] / n_theta)
 
-    phis_c = np.linspace(0.0, np.pi, coarse)
-    prof_c = np.array([total(phi) for phi in phis_c])
-    kc = int(np.argmax(prof_c))
-    dphi = phis_c[1] - phis_c[0]
-    lo = max(0.0, phis_c[kc] - dphi)
-    hi = min(np.pi, phis_c[kc] + dphi)
-
-    res = minimize_scalar(lambda phi: -total(phi), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-10})
-    phi_full = float(res.x)
-
-    # Newton-polish the argmax on the finite-difference score so that the
-    # per-shot scores used below sum to zero to high precision.
-    h = 1e-5
-    score = curvature = None
-    for _ in range(12):
-        lm, l0, lp = (log_table(phi_full + d) for d in (-h, 0.0, h))
-        with np.errstate(invalid="ignore"):  # -inf - -inf only in empty cells
-            score = (lp - lm) / (2.0 * h)
-        curvature = (_cell_sum(counts, lp) - 2.0 * _cell_sum(counts, l0)
-                     + _cell_sum(counts, lm)) / h ** 2
-        if curvature >= 0:
-            raise RuntimeError("phase likelihood not locally concave at the optimum")
-        step = -_cell_sum(counts, score) / curvature
+    phis = np.linspace(0.0, np.pi, coarse)
+    kc = int(np.argmax([total(phi) for phi in phis]))
+    lo, hi = phis[max(kc - 1, 0)], phis[min(kc + 1, coarse - 1)]
+    phi_full = float(phis[kc])
+    for _ in range(100):
+        table, d1, d2 = _phi_tables(fa, secondary.replace(phi=phi_full), angles)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = d1 / table  # nan only in empty cells
+        cell_score = score[occupied]
+        curvature = n_k @ (d2[occupied] / table[occupied] - cell_score ** 2)
+        total_score = n_k @ cell_score
+        step = -total_score / curvature if curvature < 0 else np.inf
         if abs(step) < 1e-12:
             break
-        phi_full = float(np.clip(phi_full + step, 0.0, np.pi))
+        if total_score > 0:
+            lo = phi_full
+        else:
+            hi = phi_full
+        trial = phi_full + step
+        phi_full = trial if lo < trial < hi else 0.5 * (lo + hi)
+    else:
+        raise RuntimeError("phase likelihood has no locally concave maximum "
+                           "in the grid bracket")
     if not return_jackknife:
         return phi_full
 
@@ -323,6 +406,12 @@ class PipelineResult:
     adev: object
     calibration: EllipseModel
     bootstrap_phis: np.ndarray
+    bootstrap_flags: dict = field(default_factory=dict)
+
+
+def _flag_kind(flag):
+    """``boundary-pinned: <name>`` as is; other flags by the text before ':'."""
+    return flag if flag.startswith("boundary-pinned") else flag.split(":")[0]
 
 
 def calibrated_pipeline(data_cal: MeasurementRecord, data_meas: MeasurementRecord,
@@ -335,7 +424,9 @@ def calibrated_pipeline(data_cal: MeasurementRecord, data_meas: MeasurementRecor
     pseudo-values (whose count-axis overlapping Allan deviation is returned),
     and quantifies calibration uncertainty by refitting on 50 bootstrap
     resamples.  Bootstrap index sets depend only on ``seed`` and the record
-    length, so interleaved CSS/SSS runs share them.
+    length, so interleaved CSS/SSS runs share them.  ``bootstrap_flags``
+    counts the refits' flags by kind (``not converged``,
+    ``boundary-pinned: <name>``).
     """
     from .stability import overlapping_adev
 
@@ -354,10 +445,11 @@ def calibrated_pipeline(data_cal: MeasurementRecord, data_meas: MeasurementRecor
     rng = np.random.default_rng(seed)
     n_cal = data_cal.n_shots
     boot_phis = np.empty(n_bootstrap)
+    boot_flags = Counter()
     for b in range(n_bootstrap):
         idx = rng.integers(0, n_cal, size=n_cal)
-        boot = fit_mle(data_cal.subset(idx), secondary, free=free,
-                       n_theta=n_theta, n_starts=1)
+        boot = fit_mle(data_cal.subset(idx), secondary, free=free, n_theta=n_theta)
+        boot_flags.update(_flag_kind(f) for f in boot.flags)
         boot_phis[b] = estimate_phi(data_meas, boot.model, n_theta=n_theta)
     calib_err = float(np.std(boot_phis, ddof=1))
 
@@ -369,30 +461,20 @@ def calibrated_pipeline(data_cal: MeasurementRecord, data_meas: MeasurementRecor
         adev=adev,
         calibration=secondary,
         bootstrap_phis=boot_phis,
+        bootstrap_flags=dict(boot_flags),
     )
 
 
-def fisher_information_css(m: EllipseModel, phi0, step=1e-4, n_theta=720,
-                           richardson_tol=1e-3):
+def fisher_information_css(m: EllipseModel, phi0, n_theta=720):
     """Classical Fisher information for phi of the CSS-reduced marginal model.
 
-    Exact double sum over the (N+1)^2 outcome grid with the phi-derivative of
-    log f taken by central finite differences (Richardson-checked).
+    Exact double sum of (dL/dphi)^2 / L over the (N+1)^2 outcome grid, with
+    dL/dphi from the exact row derivatives.
     """
     if not (m.zeta0 == 1.0 and m.zeta1 == 1.0):
         raise ValueError("CSS Fisher information requires zeta = (1, 1)")
-
-    def info(h):
-        f0 = _marginal(m.replace(phi=phi0), n_theta)
-        fp = _marginal(m.replace(phi=phi0 + h), n_theta)
-        fm = _marginal(m.replace(phi=phi0 - h), n_theta)
-        mask = (f0 > 1e-300) & (fp > 0) & (fm > 0)
-        dlog = (np.log(fp[mask]) - np.log(fm[mask])) / (2.0 * h)
-        return float(np.sum(dlog ** 2 * f0[mask]))
-
-    i_h = info(step)
-    i_h2 = info(step / 2.0)
-    if abs(i_h - i_h2) > richardson_tol * (abs(i_h2) + 1e-9):
-        warnings.warn("Fisher-information finite difference not converged "
-                      f"(step {step:g}): {i_h:.6g} vs {i_h2:.6g}", stacklevel=2)
-    return (4.0 * i_h2 - i_h) / 3.0
+    angles = _nodes(n_theta)
+    table, d1, _ = _phi_tables(np.exp(_model_rows(m, angles)), m.replace(phi=phi0),
+                               angles)
+    mask = table > 0
+    return float(np.sum(d1[mask] ** 2 / table[mask]))

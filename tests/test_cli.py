@@ -255,6 +255,7 @@ def test_ellipse_fit_end_to_end(tmp_path):
     report = json.loads((out / "ellipse_fit.json").read_text())
     assert report["phi_deg"] == pytest.approx(60.0, abs=8.0)
     assert report["combined_err_deg"] >= report["stat_err_deg"]
+    assert report["bootstrap_flags"] == {}
     assert (out / "ellipse_adev.csv").exists()
 
 
@@ -312,9 +313,30 @@ def test_unknown_manifest_command_is_usage_error(tmp_path):
     assert run("--from-manifest", manifest) == 2
 
 
-def test_non_object_manifest_is_usage_error(tmp_path):
-    manifest = _write_config(tmp_path, "m.json", [1, 2])
-    assert run("--from-manifest", manifest) == 2
+def test_non_object_manifest_is_usage_error(tmp_path, monkeypatch):
+    def must_not_run(params, out_dir):
+        raise AssertionError("a command ran from a malformed manifest")
+
+    monkeypatch.setitem(cli._COMMANDS, "fisher", must_not_run)
+    out = tmp_path / "out"
+    params = [{"out_dir": str(out)}]
+    manifests = [[1, 2], {"command": "fisher", "params": params,
+                          "config_sha256": cli._params_sha256(params)}]
+    for i, payload in enumerate(manifests):
+        manifest = _write_config(tmp_path, f"m{i}.json", payload)
+        assert run("--from-manifest", manifest) == 2
+    assert not out.exists()
+
+
+def test_scan_squeezing_unknown_engine_in_config_is_usage_error(tmp_path):
+    cfg = _write_config(tmp_path, "scan.json", {
+        "potential": {"v0_hz": 46.4e3, "rb_lat": 4.9},
+        "sizes": [[1, 2]], "t_grid_us": [1.0], "engine": "foo"})
+    out = tmp_path / "out"
+    assert run("scan-squeezing", "--config", cfg, "--out-dir", str(out)) == 2
+    for name in ("scan_squeezing.csv", "scan_squeezing_ed.csv",
+                 "scan-squeezing.manifest.json"):
+        assert not (out / name).exists()
 
 
 def test_empty_clock_run_writes_no_record(tmp_path):

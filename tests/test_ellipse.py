@@ -108,7 +108,7 @@ def test_atom_number_mismatch_is_rejected():
     cases = ((small, MODEL), (_css_record(60.0, 40), MODEL.replace(n_atoms=20)))
     for rec, model in cases:
         with pytest.raises(ValueError, match="atom number"):
-            fit_mle(rec, model, free=("phi",), n_theta=36, n_starts=1)
+            fit_mle(rec, model, free=("phi",), n_theta=36)
         with pytest.raises(ValueError, match="atom number"):
             estimate_phi(rec, model, n_theta=36)
     mixed = MeasurementRecord(p_a=small.p_a, p_b=small.p_b, n_a=small.n_a,
@@ -120,8 +120,7 @@ def test_atom_number_mismatch_is_rejected():
 def test_fit_mle_recovers_known_parameters():
     rec = _css_record(60.0, 1200, seed=5)
     init = EllipseModel(phi=np.radians(45.0), contrast=0.8, y0=0.5, n_atoms=70)
-    fit = fit_mle(rec, init, free=("phi", "contrast", "y0"), n_theta=180,
-                  n_starts=2)
+    fit = fit_mle(rec, init, free=("phi", "contrast", "y0"), n_theta=180)
     assert np.degrees(fit.phi_hat) == pytest.approx(60.0, abs=3.0)
     assert fit.model.contrast == pytest.approx(0.9, abs=0.03)
     assert fit.model.y0 == pytest.approx(0.5, abs=0.01)
@@ -131,29 +130,77 @@ def test_fit_mle_recovers_known_parameters():
 def test_fit_mle_flags_degenerate_record():
     rec = _css_record(60.0, 1)
     init = MODEL
-    fit = fit_mle(rec, init, free=("phi",), n_theta=90, n_starts=1)
+    fit = fit_mle(rec, init, free=("phi",), n_theta=90)
     assert any("degenerate" in f for f in fit.flags)
 
 
-def test_fit_mle_flags_non_converged_optimizer(monkeypatch):
+def _starve_optimizer(monkeypatch):
+    """Let every fit_mle optimizer run stop after 3 iterations."""
     from rydclock import ellipse
 
     real_minimize = ellipse.minimize
 
-    def starved(fun, x0, method=None, options=None):
-        return real_minimize(fun, x0, method=method,
+    def starved(fun, x0, method=None, jac=None, bounds=None, constraints=(),
+                options=None):
+        return real_minimize(fun, x0, method=method, jac=jac, bounds=bounds,
+                             constraints=constraints,
                              options={**options, "maxiter": 3})
 
     monkeypatch.setattr(ellipse, "minimize", starved)
+
+
+def _projected_gradient(rec, model, free, n_theta):
+    """Log-likelihood gradient over ``free``, projected onto the parameter box."""
+    from rydclock.ellipse import _BOUNDS, _marginal_gradient, _pair_counts
+
+    counts = _pair_counts(rec, model.n_atoms)
+    occupied = counts > 0
+    table, grads = _marginal_gradient(model, n_theta)
+    weight = counts[occupied] / table[occupied]
+    x = np.array([getattr(model, name) for name in free])
+    g = np.array([weight @ grads[name][occupied] for name in free])
+    lo, hi = np.array([_BOUNDS[name] for name in free]).T
+    return np.clip(x + g, lo, hi) - x
+
+
+def test_fit_mle_flags_non_converged_optimizer(monkeypatch):
+    _starve_optimizer(monkeypatch)
     rec = _css_record(60.0, 200, seed=5)
     fit = fit_mle(rec, MODEL.replace(phi=np.radians(45.0)),
-                  free=("phi", "contrast"), n_theta=36, n_starts=2)
+                  free=("phi", "contrast"), n_theta=36)
     flags = [f for f in fit.flags if f.startswith("not converged: ")]
-    assert len(flags) == 1 and "iterations" in flags[0]
+    assert len(flags) == 1 and "Iteration limit reached" in flags[0]
     monkeypatch.undo()
-    fit = fit_mle(rec, MODEL.replace(phi=np.radians(45.0)),
-                  free=("phi", "contrast"), n_theta=36, n_starts=1)
-    assert not any(f.startswith("not converged") for f in fit.flags)
+    for free in (("phi", "contrast"), ("phi", "contrast", "y0", "zeta0", "zeta1")):
+        fit = fit_mle(rec, MODEL.replace(phi=np.radians(45.0)), free=free,
+                      n_theta=36)
+        assert not any(f.startswith("not converged") for f in fit.flags)
+        # stationary: the fringe constraint is slack, so only the box projects
+        m = fit.model
+        assert min(m.y0 - m.contrast / 2.0, 1.0 - m.y0 - m.contrast / 2.0) > 1e-3
+        assert np.max(np.abs(_projected_gradient(rec, m, free, 36))) < 1e-5
+
+
+def test_marginal_derivatives_match_central_differences():
+    from rydclock.ellipse import (_PARAM_NAMES, _marginal_gradient, _model_rows,
+                                  _nodes, _phi_tables)
+
+    m = MODEL.replace(phi=0.7, contrast=0.8, y0=0.47, zeta0=0.7, zeta1=1.3)
+    table, grads = _marginal_gradient(m, 60)
+    assert np.array_equal(table, pmf_marginal(m, n_theta=60))
+    h = 1e-5
+    for name in _PARAM_NAMES:
+        x = getattr(m, name)
+        fd = (pmf_marginal(m.replace(**{name: x + h}), n_theta=60)
+              - pmf_marginal(m.replace(**{name: x - h}), n_theta=60)) / (2.0 * h)
+        assert np.max(np.abs(fd - grads[name])) < 1e-6 * np.max(np.abs(grads[name]))
+    angles = _nodes(60)
+    t, d1, d2 = _phi_tables(np.exp(_model_rows(m, angles)), m, angles)
+    assert np.array_equal(t, table) and np.array_equal(d1, grads["phi"])
+    h = 1e-4
+    fd2 = (pmf_marginal(m.replace(phi=m.phi + h), n_theta=60) - 2.0 * table
+           + pmf_marginal(m.replace(phi=m.phi - h), n_theta=60)) / h ** 2
+    assert np.max(np.abs(fd2 - d2)) < 1e-6 * np.max(np.abs(d2))
 
 
 def test_logsumexp_rows_bit_identical_to_scipy():
@@ -212,10 +259,21 @@ def test_calibrated_pipeline_outputs():
     assert res.jackknife.mean == pytest.approx(res.phi_hat, abs=1e-9)
     assert res.adev.axis == "count"
     assert res.bootstrap_phis.size == 5
+    assert "not converged" not in res.bootstrap_flags
     empty = MeasurementRecord(p_a=np.empty(0), p_b=np.empty(0),
                               n_a=np.empty(0, int), n_b=np.empty(0, int))
     with pytest.raises(ValueError):
         calibrated_pipeline(empty, meas, init)
+
+
+def test_calibrated_pipeline_counts_non_converged_replicates(monkeypatch):
+    _starve_optimizer(monkeypatch)
+    cal = _css_record(60.0, 100, seed=10, n_atoms=20)
+    meas = _css_record(60.0, 100, seed=11, n_atoms=20)
+    init = EllipseModel(phi=np.radians(50.0), contrast=0.85, y0=0.5, n_atoms=20)
+    res = calibrated_pipeline(cal, meas, init, n_bootstrap=4, n_theta=36,
+                              free=("phi", "contrast", "y0"))
+    assert res.bootstrap_flags["not converged"] == 4
 
 
 def test_calibrated_pipeline_rejects_atom_number_before_fitting(monkeypatch):
